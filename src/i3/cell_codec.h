@@ -54,6 +54,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 
@@ -118,6 +119,49 @@ size_t EncodedPageSize(const StoredTuple* slots, size_t n);
 /// written then).
 Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
                           size_t page_size);
+
+/// \brief Bytes a new group of `tuples[0..n)` (one keyword cell, slot
+/// order) adds to any page: its directory entry, header and payload.
+/// Group encodings are independent, so this is exact.
+size_t GroupFootprint(const SpatialTuple* tuples, size_t n);
+
+// --------------------------------------------------------------- edit path
+//
+// Group-local edits of an encoded v2 page, in place. Each leaves exactly
+// the bytes EncodePage would produce for the edited slot sequence: groups
+// keep first-appearance order (a new cell's group goes last, an emptied
+// group is dropped), tuples keep slot order (appends go last), and only
+// the edited group is re-encoded -- or merely extended by one entry per
+// column when none of its parameters change. Every other group's bytes
+// are moved unchanged and the directory offsets, group count and
+// used_bytes patched; bytes past used_bytes stay zero. The page must be a
+// valid v2 page (damage surfaces as Corruption). An edit that would not
+// fit `page_size` returns ResourceExhausted and leaves the page untouched.
+
+/// The used_bytes field of a v2 page.
+size_t UsedBytes(const uint8_t* page);
+
+/// \brief CellEnvelopeBytes of the cell `source` on `page` grown by
+/// `incoming` (of `incoming` alone when the page has no such group), read
+/// from the group header unless `incoming` lowers the group's minimum doc.
+Result<size_t> EnvelopeWith(const uint8_t* page, size_t page_size,
+                            uint32_t source, const SpatialTuple& incoming);
+
+/// \brief Appends `tuples[0..n)` to the group of `source`, or adds them as
+/// a new last group when the page has none.
+Status AppendToGroup(uint8_t* page, size_t page_size, uint32_t source,
+                     const SpatialTuple* tuples, size_t n);
+
+/// \brief Removes the first tuple of `doc` from the group of `source`,
+/// dropping the group when it empties; false (page untouched) when there
+/// is no such tuple.
+Result<bool> RemoveFromGroup(uint8_t* page, size_t page_size, uint32_t source,
+                             uint32_t doc);
+
+/// \brief Drops the group of `source`, appending its tuples in slot order
+/// to `*out`; a no-op when the page has none.
+Status TakeGroup(uint8_t* page, size_t page_size, uint32_t source,
+                 std::vector<SpatialTuple>* out);
 
 // -------------------------------------------------------------- read path
 

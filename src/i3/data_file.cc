@@ -1,5 +1,6 @@
 #include "i3/data_file.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -62,27 +63,12 @@ PageView::~PageView() {
   owns_scratch_ = false;
 }
 
-std::vector<SpatialTuple> TuplePage::OfSource(SourceId source) const {
-  std::vector<SpatialTuple> out;
-  for (const StoredTuple& st : slots) {
-    if (st.source == source) out.push_back(st.tuple);
-  }
-  return out;
-}
-
 uint32_t TuplePage::CountSource(SourceId source) const {
   uint32_t n = 0;
   for (const StoredTuple& st : slots) {
     if (st.source == source) ++n;
   }
   return n;
-}
-
-bool TuplePage::AllFromSource(SourceId source) const {
-  for (const StoredTuple& st : slots) {
-    if (st.source != source) return false;
-  }
-  return !slots.empty();
 }
 
 DataFile::DataFile(size_t page_size, BufferPoolOptions pool_options,
@@ -122,22 +108,6 @@ bool DataFile::Fits(const TuplePage& page) const {
          file_->page_size();
 }
 
-bool DataFile::CellMustSplit(const TuplePage& page, SourceId source,
-                             const SpatialTuple& incoming) const {
-  if (!compress_) {
-    // v1: the cell holds P/B tuples, so with `incoming` it can no longer
-    // live on one page.
-    return page.CountSource(source) >= capacity_;
-  }
-  std::vector<SpatialTuple> cell;
-  for (const StoredTuple& st : page.slots) {
-    if (st.source == source) cell.push_back(st.tuple);
-  }
-  cell.push_back(incoming);
-  return codec::CellEnvelopeBytes(cell.data(), cell.size()) >
-         file_->page_size();
-}
-
 bool DataFile::CellOversized(const std::vector<SpatialTuple>& tuples) const {
   if (!compress_) return tuples.size() > capacity_;
   return codec::CellEnvelopeBytes(tuples.data(), tuples.size()) >
@@ -157,18 +127,15 @@ Result<PageId> DataFile::PageWithFreeSlots(uint32_t want) {
   return AllocatePage();
 }
 
-Result<PageId> DataFile::PageWithRoomForGroup(
-    const std::vector<StoredTuple>& group) {
+Result<PageId> DataFile::PageWithRoomForCell(
+    const std::vector<SpatialTuple>& tuples) {
   // v1 keeps the slot-count request (identical to PageWithFreeSlots, so
-  // the v1 placement sequence is unchanged); v2 asks for the group's exact
-  // encoded footprint: EncodedPageSize of the group alone is page header +
-  // directory entry + group bytes, and dropping the page header leaves
-  // exactly what the group adds to any existing page.
+  // the v1 placement sequence is unchanged); v2 asks for the cell's exact
+  // encoded footprint.
   const uint32_t want_bytes =
       compress_ ? static_cast<uint32_t>(
-                      codec::EncodedPageSize(group.data(), group.size()) -
-                      codec::kV2PageHeaderBytes)
-                : static_cast<uint32_t>(group.size() * kTupleBytes);
+                      codec::GroupFootprint(tuples.data(), tuples.size()))
+                : static_cast<uint32_t>(tuples.size() * kTupleBytes);
   PageId id = fsm_.FindPageWithFreeSlots(want_bytes);
   if (id != kInvalidPageId) return id;
   return AllocatePage();
@@ -210,96 +177,250 @@ Result<PageView> DataFile::View(PageId id) {
   return view;
 }
 
+namespace {
+
+Status DecodeSlots(const PageView& view, TuplePage* page) {
+  return view.VisitSlots([page](SourceId source, const SpatialTuple& t) {
+    page->slots.push_back({source, t});
+  });
+}
+
+}  // namespace
+
 Result<TuplePage> DataFile::Read(PageId id) {
   // Decodes through the view path (one charged read, view-managed scratch;
   // Read runs concurrently from multiple threads, so no shared buffer).
   auto view_res = View(id);
   if (!view_res.ok()) return view_res.status();
-  const PageView& view = view_res.ValueOrDie();
   TuplePage page;
   page.slots.reserve(capacity_);
-  I3_RETURN_NOT_OK(
-      view.VisitSlots([&page](SourceId source, const SpatialTuple& t) {
-        page.slots.push_back({source, t});
-      }));
+  I3_RETURN_NOT_OK(DecodeSlots(view_res.ValueOrDie(), &page));
   return page;
 }
 
-Status DataFile::Write(PageId id, const TuplePage& page) {
-  std::memset(scratch_.data(), 0, scratch_.size());
-  uint32_t free_bytes;
-  if (compress_) {
-    auto used = codec::EncodePage(page.slots.data(), page.slots.size(),
-                                  scratch_.data(), scratch_.size());
-    if (!used.ok()) {
-      return Status::InvalidArgument(
-          "page overflow: " + std::to_string(page.slots.size()) +
-          " tuples (" + used.status().message() + ")");
-    }
-    free_bytes = static_cast<uint32_t>(scratch_.size()) -
-                 static_cast<uint32_t>(used.ValueOrDie());
-  } else {
-    if (page.slots.size() > capacity_) {
-      return Status::InvalidArgument("page overflow: " +
-                                     std::to_string(page.slots.size()) +
-                                     " tuples");
-    }
-    for (size_t s = 0; s < page.slots.size(); ++s) {
-      EncodeSlot(scratch_.data() + s * kTupleBytes, page.slots[s]);
-    }
-    free_bytes = (capacity_ - static_cast<uint32_t>(page.slots.size())) *
-                 static_cast<uint32_t>(kTupleBytes);
+Result<PageEdit> DataFile::Load(PageId id) {
+  auto view_res = View(id);
+  if (!view_res.ok()) return view_res.status();
+  const PageView& view = view_res.ValueOrDie();
+  PageEdit edit;
+  edit.id_ = id;
+  if (compress_ && view.compressed()) {
+    edit.grouped_ = true;
+    edit.bytes_.assign(view.data_, view.data_ + page_size());
+    return edit;
   }
-  I3_RETURN_NOT_OK(pool_.WritePage(id, scratch_.data(),
+  I3_RETURN_NOT_OK(DecodeSlots(view, &edit.slots_));
+  if (compress_) {
+    // A fresh (zeroed) page, or a v1 page of an index written without
+    // compression: encode it once, and edit the v2 bytes from then on --
+    // unless the slots do not even fit one v2 page.
+    edit.bytes_.resize(page_size());
+    if (EncodeInto(edit.slots_, /*v2=*/true, edit.bytes_.data()).ok()) {
+      edit.grouped_ = true;
+      edit.slots_.slots.clear();
+    }
+  }
+  return edit;
+}
+
+Status DataFile::Store(const PageEdit& edit) {
+  if (!edit.grouped_) return Write(edit.id_, edit.slots_);
+  I3_RETURN_NOT_OK(pool_.WritePage(edit.id_, edit.bytes_.data(),
                                    IoCategory::kI3DataFile));
-  fsm_.SetFree(id, free_bytes);
+  const size_t used = codec::UsedBytes(edit.bytes_.data());
+  fsm_.SetFree(edit.id_, static_cast<uint32_t>(page_size() - used));
   return Status::OK();
 }
 
-Status DataFile::Insert(PageId id, SourceId source,
-                        const SpatialTuple& tuple) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  page.slots.push_back({source, tuple});
-  if (!Fits(page)) {
-    return Status::ResourceExhausted("page " + std::to_string(id) +
-                                     " is full");
+Result<DataFile::Append> DataFile::AppendToCell(PageEdit* edit,
+                                                SourceId source,
+                                                const SpatialTuple& t) {
+  if (edit->grouped_) {
+    uint8_t* page = edit->bytes_.data();
+    auto envelope = codec::EnvelopeWith(page, page_size(), source, t);
+    if (!envelope.ok()) return envelope.status();
+    if (envelope.ValueOrDie() > page_size()) return Append::kMustSplit;
+    Status st = codec::AppendToGroup(page, page_size(), source, &t, 1);
+    if (st.code() == StatusCode::kResourceExhausted) return Append::kPageFull;
+    if (!st.ok()) return st;
+    return Append::kAppended;
   }
-  return Write(id, page);
+  std::vector<StoredTuple>& slots = edit->slots_.slots;
+  if (compress_) {
+    std::vector<SpatialTuple> cell;
+    for (const StoredTuple& st : slots) {
+      if (st.source == source) cell.push_back(st.tuple);
+    }
+    cell.push_back(t);
+    if (codec::CellEnvelopeBytes(cell.data(), cell.size()) > page_size()) {
+      return Append::kMustSplit;
+    }
+  } else if (edit->slots_.CountSource(source) >= capacity_) {
+    // v1: the cell holds P/B tuples, so with `t` it can no longer live on
+    // one page.
+    return Append::kMustSplit;
+  }
+  slots.push_back({source, t});
+  if (Fits(edit->slots_)) return Append::kAppended;
+  slots.pop_back();
+  return Append::kPageFull;
 }
 
-Result<bool> DataFile::Remove(PageId id, SourceId source, DocId doc) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  for (auto it = page.slots.begin(); it != page.slots.end(); ++it) {
+Status DataFile::AddToCell(PageEdit* edit, SourceId source,
+                           const std::vector<SpatialTuple>& tuples) {
+  if (edit->grouped_) {
+    return codec::AppendToGroup(edit->bytes_.data(), page_size(), source,
+                                tuples.data(), tuples.size());
+  }
+  std::vector<StoredTuple>& slots = edit->slots_.slots;
+  const size_t before = slots.size();
+  for (const SpatialTuple& t : tuples) slots.push_back({source, t});
+  if (Fits(edit->slots_)) return Status::OK();
+  slots.resize(before);
+  return Status::ResourceExhausted("page " + std::to_string(edit->id_) +
+                                   " lacks room for " +
+                                   std::to_string(tuples.size()) +
+                                   " tuples");
+}
+
+Result<bool> DataFile::RemoveFromCell(PageEdit* edit, SourceId source,
+                                      DocId doc) {
+  if (edit->grouped_) {
+    return codec::RemoveFromGroup(edit->bytes_.data(), page_size(), source,
+                                  doc);
+  }
+  std::vector<StoredTuple>& slots = edit->slots_.slots;
+  for (auto it = slots.begin(); it != slots.end(); ++it) {
     if (it->source == source && it->tuple.doc == doc) {
-      page.slots.erase(it);
-      I3_RETURN_NOT_OK(Write(id, page));
+      slots.erase(it);
       return true;
     }
   }
   return false;
 }
 
-Result<std::vector<SpatialTuple>> DataFile::TakeSource(PageId id,
-                                                       SourceId source) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
+Result<std::vector<SpatialTuple>> DataFile::TakeCell(PageEdit* edit,
+                                                     SourceId source) {
   std::vector<SpatialTuple> taken;
+  if (edit->grouped_) {
+    I3_RETURN_NOT_OK(codec::TakeGroup(edit->bytes_.data(), page_size(),
+                                      source, &taken));
+    return taken;
+  }
   std::vector<StoredTuple> kept;
-  for (const StoredTuple& st : page.slots) {
+  for (const StoredTuple& st : edit->slots_.slots) {
     if (st.source == source) {
       taken.push_back(st.tuple);
     } else {
       kept.push_back(st);
     }
   }
-  page.slots = std::move(kept);
-  I3_RETURN_NOT_OK(Write(id, page));
+  edit->slots_.slots = std::move(kept);
   return taken;
+}
+
+Result<uint32_t> DataFile::CellSize(const PageEdit& edit,
+                                    SourceId source) const {
+  if (!edit.grouped_) return edit.slots_.CountSource(source);
+  codec::GroupRef g;
+  auto found = codec::FindGroup(edit.bytes_.data(), page_size(), source, &g);
+  if (!found.ok()) return found.status();
+  return found.ValueOrDie() ? g.count : 0u;
+}
+
+Result<TuplePage> DataFile::Slots(const PageEdit& edit) const {
+  if (!edit.grouped_) return edit.slots_;
+  PageView view;  // over the image: no pin, no scratch
+  view.data_ = edit.bytes_.data();
+  view.capacity_ = capacity_;
+  view.page_size_ = page_size();
+  TuplePage page;
+  I3_RETURN_NOT_OK(DecodeSlots(view, &page));
+  return page;
+}
+
+Result<uint32_t> DataFile::EncodeInto(const TuplePage& page, bool v2,
+                                      uint8_t* out) const {
+  std::memset(out, 0, page_size());
+  if (v2) {
+    auto used = codec::EncodePage(page.slots.data(), page.slots.size(), out,
+                                  page_size());
+    if (!used.ok()) {
+      return Status::ResourceExhausted(
+          "page overflow: " + std::to_string(page.slots.size()) +
+          " tuples (" + used.status().message() + ")");
+    }
+    return static_cast<uint32_t>(page_size() - used.ValueOrDie());
+  }
+  if (page.slots.size() > capacity_) {
+    return Status::ResourceExhausted("page overflow: " +
+                                     std::to_string(page.slots.size()) +
+                                     " tuples");
+  }
+  for (size_t s = 0; s < page.slots.size(); ++s) {
+    EncodeSlot(out + s * kTupleBytes, page.slots[s]);
+  }
+  return (capacity_ - static_cast<uint32_t>(page.slots.size())) *
+         static_cast<uint32_t>(kTupleBytes);
+}
+
+Status DataFile::Write(PageId id, const TuplePage& page) {
+  auto free_bytes = EncodeInto(page, compress_, scratch_.data());
+  if (!free_bytes.ok()) return free_bytes.status();
+  I3_RETURN_NOT_OK(pool_.WritePage(id, scratch_.data(),
+                                   IoCategory::kI3DataFile));
+  fsm_.SetFree(id, free_bytes.ValueOrDie());
+  return Status::OK();
+}
+
+Status DataFile::CheckPage(
+    PageId id, const std::function<void(SourceId, uint32_t)>& cell) {
+  auto view_res = View(id);
+  if (!view_res.ok()) return view_res.status();
+  const PageView& view = view_res.ValueOrDie();
+  TuplePage page;
+  I3_RETURN_NOT_OK(DecodeSlots(view, &page));
+  std::vector<uint8_t> canonical(page_size());
+  auto free_bytes = EncodeInto(page, view.compressed(), canonical.data());
+  if (!free_bytes.ok()) return free_bytes.status();
+  if (std::memcmp(canonical.data(), view.data_, page_size()) != 0) {
+    return Status::Corruption("page " + std::to_string(id) +
+                              " differs from the encoding of its slots");
+  }
+  if (fsm_.FreeSlots(id) != free_bytes.ValueOrDie()) {
+    return Status::Corruption("free-space map disagrees with page " +
+                              std::to_string(id));
+  }
+  std::vector<std::pair<SourceId, uint32_t>> cells;  // first-appearance
+  for (const StoredTuple& st : page.slots) {
+    auto it = std::find_if(cells.begin(), cells.end(), [&st](const auto& c) {
+      return c.first == st.source;
+    });
+    if (it == cells.end()) {
+      cells.push_back({st.source, 1});
+    } else {
+      ++it->second;
+    }
+  }
+  for (const auto& [source, n] : cells) cell(source, n);
+  return Status::OK();
+}
+
+Status DataFile::InsertAll(PageId id, SourceId source,
+                           const std::vector<SpatialTuple>& tuples) {
+  auto edit = Load(id);
+  if (!edit.ok()) return edit.status();
+  I3_RETURN_NOT_OK(AddToCell(&edit.ValueOrDie(), source, tuples));
+  return Store(edit.ValueOrDie());
+}
+
+Result<bool> DataFile::Remove(PageId id, SourceId source, DocId doc) {
+  auto edit = Load(id);
+  if (!edit.ok()) return edit.status();
+  auto removed = RemoveFromCell(&edit.ValueOrDie(), source, doc);
+  if (!removed.ok() || !removed.ValueOrDie()) return removed;
+  I3_RETURN_NOT_OK(Store(edit.ValueOrDie()));
+  return true;
 }
 
 Status DataFile::VerifyPage(PageId id) {
@@ -331,21 +452,6 @@ Status DataFile::WritePageBytes(PageId id,
     return Status::InvalidArgument("page bytes must be exactly one page");
   }
   return pool_.WritePage(id, bytes.data(), IoCategory::kI3DataFile);
-}
-
-Status DataFile::InsertAll(PageId id, SourceId source,
-                           const std::vector<SpatialTuple>& tuples) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  for (const SpatialTuple& t : tuples) page.slots.push_back({source, t});
-  if (!Fits(page)) {
-    return Status::ResourceExhausted("page " + std::to_string(id) +
-                                     " lacks room for " +
-                                     std::to_string(tuples.size()) +
-                                     " tuples");
-  }
-  return Write(id, page);
 }
 
 }  // namespace i3

@@ -65,22 +65,36 @@ inline SourceId DecodeSlotSource(const uint8_t* src) {
   return s;
 }
 
-/// \brief Decoded image of one data-file page -- the *write-path*
-/// representation (insert, remove, relocation, compaction). Read paths use
-/// DataFile::View, which decodes slots lazily out of the buffer-pool frame
-/// without materializing this object.
+/// \brief Decoded image of one data-file page, for the writes that lay a
+/// whole page out anew (a cell split, index load) and for v1 pages. Cell
+/// edits use PageEdit; read paths use DataFile::View, which decodes slots
+/// lazily out of the buffer-pool frame without materializing this object.
 class TuplePage {
  public:
   /// Occupied slots in slot order.
   std::vector<StoredTuple> slots;
 
-  /// Tuples belonging to `source`.
-  std::vector<SpatialTuple> OfSource(SourceId source) const;
   /// Number of tuples belonging to `source`.
   uint32_t CountSource(SourceId source) const;
-  /// True if every occupied slot belongs to `source` (the "all the tuples
-  /// in P are from the same source" test of Algorithms 2-3).
-  bool AllFromSource(SourceId source) const;
+};
+
+/// \brief One data page loaded for cell-level edits: DataFile::Load reads
+/// it (one charged read), the DataFile cell calls change it, and
+/// DataFile::Store writes it back (one charged write), however many edits
+/// came between. A v2 page is held encoded and every edit is group-local
+/// (the codec edit path of i3/cell_codec.h); a v1 page is held as decoded
+/// slots and re-encoded whole on Store.
+class PageEdit {
+ public:
+  PageId id() const { return id_; }
+
+ private:
+  friend class DataFile;
+
+  PageId id_ = kInvalidPageId;
+  bool grouped_ = false;        // bytes_ holds the v2 page
+  std::vector<uint8_t> bytes_;  // grouped_: the encoded page
+  TuplePage slots_;             // otherwise: the decoded page
 };
 
 /// \brief Zero-copy read window over one data-file page.
@@ -117,7 +131,7 @@ class PageView {
 
   /// \brief Single-pass visit of every tuple tagged `source`;
   /// `fn(const SpatialTuple&)`. Returns the number visited, so callers that
-  /// used to CountSource-then-OfSource get both in one scan.
+  /// would count a cell and then collect it get both in one scan.
   template <typename Fn>
   uint32_t ForEachOfSource(SourceId source, Fn&& fn) const {
     uint32_t n = 0;
@@ -240,25 +254,13 @@ class DataFile {
       size_t cell_cache_bytes = 0);
 
   /// Tuples per page in the v1 encoding (P/B); the split threshold of
-  /// Algorithms 2-3 under the v1 format (see CellMustSplit for v2).
+  /// Algorithms 2-3 under the v1 format (see AppendToCell for v2).
   uint32_t capacity() const { return capacity_; }
 
-  /// \brief The density test of Algorithms 2-3: true when the keyword cell
-  /// `source` on `page`, grown by `incoming`, must split. v1: the cell
-  /// reaches the P/B slot capacity. v2: the cell's one-page *envelope*
-  /// (codec::CellEnvelopeBytes -- an upper bound covering every subset, so
-  /// splits and relocations of an under-threshold cell always land) would
-  /// exceed the page size; cells therefore pack several times more tuples
-  /// before splitting, which is where the compressed format's page-count
-  /// reduction comes from. The quadtree gets a different (shallower) shape
-  /// than under v1, but search is exact under any shape, so query results
-  /// are identical either way.
-  bool CellMustSplit(const TuplePage& page, SourceId source,
-                     const SpatialTuple& incoming) const;
-
-  /// \brief Invariant-checker companion of CellMustSplit: true when a
-  /// stored cell with these tuples is larger than the split threshold ever
-  /// allows (v1: above slot capacity; v2: envelope above the page size).
+  /// \brief Invariant-checker companion of the density test of
+  /// AppendToCell: true when a stored cell with these tuples is larger
+  /// than the split threshold ever allows (v1: above slot capacity; v2:
+  /// envelope above the page size).
   bool CellOversized(const std::vector<SpatialTuple>& tuples) const;
 
   /// Whether written pages use the v2 compressed encoding.
@@ -267,31 +269,80 @@ class DataFile {
   /// Page size in bytes.
   size_t page_size() const { return file_->page_size(); }
 
-  /// \brief True when `page` can be written to one page under the active
-  /// encoding (v1: slot count; v2: exact encoded size).
-  bool Fits(const TuplePage& page) const;
-
   /// \brief A page guaranteed to accept a *new* cell of `want` tuples
   /// (v1: `want` free slots; v2: the worst-case encoded footprint of a new
   /// group), allocating a fresh page if none qualifies.
   Result<PageId> PageWithFreeSlots(uint32_t want);
 
-  /// \brief A page guaranteed to accept the *specific* new cell `group`
-  /// (all one source, not currently on any page). Unlike PageWithFreeSlots
-  /// this sizes the request by the group's exact encoding -- group
-  /// encodings are independent, so adding this group to any page costs
-  /// exactly its directory entry + header + payload -- which packs far
-  /// tighter than the worst-case bound when cells are large. Falls back to
-  /// a fresh page if no page qualifies.
-  Result<PageId> PageWithRoomForGroup(const std::vector<StoredTuple>& group);
+  /// \brief A page guaranteed to accept the *specific* new cell `tuples`
+  /// (one keyword cell, not currently on any page). Unlike
+  /// PageWithFreeSlots this sizes the request by the cell's exact encoding
+  /// -- group encodings are independent, so adding this group to any page
+  /// costs exactly codec::GroupFootprint -- which packs far tighter than
+  /// the worst-case bound when cells are large. Falls back to a fresh page
+  /// if no page qualifies.
+  Result<PageId> PageWithRoomForCell(const std::vector<SpatialTuple>& tuples);
 
   /// \brief Unconditionally appends a fresh empty page (deserialization
   /// path; normal insertion goes through PageWithFreeSlots).
   Result<PageId> AllocatePage();
 
   /// \brief Reads and decodes page `id` (one charged data-file read) into a
-  /// write-path TuplePage image. Query paths should prefer View.
+  /// TuplePage image. Query paths should prefer View.
   Result<TuplePage> Read(PageId id);
+
+  // ------------------------------------------------------- cell edits
+  //
+  // The write path of Algorithms 1-3 and Section 4.5. Each mutation of a
+  // keyword cell is one Load, cell calls on the PageEdit, and one Store:
+  // the charged I/O is one read and one write per page touched, and the
+  // stored bytes are exactly what Write of the edited slots would store.
+
+  /// \brief Loads page `id` for editing (one charged read).
+  Result<PageEdit> Load(PageId id);
+
+  /// \brief Writes `edit` back to its page (one charged write) and updates
+  /// the free-space map.
+  Status Store(const PageEdit& edit);
+
+  /// Outcome of AppendToCell.
+  enum class Append {
+    kAppended,   ///< the tuple is on the page image
+    kMustSplit,  ///< the cell is dense: it must split (image unchanged)
+    kPageFull,   ///< the cell must move to a roomier page (unchanged)
+  };
+
+  /// \brief Algorithms 2-3's insert into a non-dense keyword cell: first
+  /// the density test -- v1: the cell already holds P/B tuples; v2: the
+  /// cell's one-page *envelope* with `t` (codec::CellEnvelopeBytes, an
+  /// upper bound covering every subset, so splits and relocations of an
+  /// under-threshold cell always land) would exceed the page size, so
+  /// cells pack several times more tuples before splitting -- then the fit
+  /// of the grown page.
+  Result<Append> AppendToCell(PageEdit* edit, SourceId source,
+                              const SpatialTuple& t);
+
+  /// \brief Adds `tuples` to the cell `source` (a new cell when the page
+  /// has none) with no density test; ResourceExhausted, image unchanged,
+  /// when the page cannot hold them.
+  Status AddToCell(PageEdit* edit, SourceId source,
+                   const std::vector<SpatialTuple>& tuples);
+
+  /// \brief Removes the first tuple of `doc` in cell `source`; false,
+  /// image unchanged, when there is none.
+  Result<bool> RemoveFromCell(PageEdit* edit, SourceId source, DocId doc);
+
+  /// \brief Removes the cell `source` from the image and returns its
+  /// tuples (the fetch step of the relocation branch in Algorithms 2-3).
+  Result<std::vector<SpatialTuple>> TakeCell(PageEdit* edit,
+                                             SourceId source);
+
+  /// Tuples of cell `source` on the image.
+  Result<uint32_t> CellSize(const PageEdit& edit, SourceId source) const;
+
+  /// \brief The image decoded to slots, for the one write that lays a
+  /// whole page out anew (a cell split).
+  Result<TuplePage> Slots(const PageEdit& edit) const;
 
   /// \brief Zero-copy read window over page `id` (one charged data-file
   /// read). See PageView for the lifetime rules.
@@ -357,25 +408,33 @@ class DataFile {
   size_t QuarantinedPages() const { return pool_.quarantined_count(); }
 
   /// \brief Encodes and writes `page` to `id` (one charged write); updates
-  /// the free-space map.
+  /// the free-space map. ResourceExhausted, nothing written, when the
+  /// slots do not fit one page.
   Status Write(PageId id, const TuplePage& page);
 
-  /// \brief Inserts one tuple into `id`; fails with ResourceExhausted if
-  /// the page cannot hold it (v1: no free slot; v2: encoded overflow).
-  Status Insert(PageId id, SourceId source, const SpatialTuple& tuple);
+  /// \brief Invariant-checker probe of page `id` (one charged read):
+  /// verifies the stored bytes are exactly the encoding of the page's own
+  /// slots -- directory counts, block-max values, used bytes and a zeroed
+  /// tail included -- and that the free-space map agrees, then reports
+  /// every keyword cell on the page as `cell(source, tuples)`, once each,
+  /// in first-appearance order.
+  Status CheckPage(PageId id,
+                   const std::function<void(SourceId, uint32_t)>& cell);
 
-  /// \brief Removes the tuple of `doc` tagged `source`; returns true if one
-  /// was removed.
-  Result<bool> Remove(PageId id, SourceId source, DocId doc);
-
-  /// \brief Removes and returns every tuple tagged `source` (the fetch step
-  /// of the relocation branch in Algorithms 2-3).
-  Result<std::vector<SpatialTuple>> TakeSource(PageId id, SourceId source);
-
-  /// \brief Inserts `tuples` under `source` into `id`; the page must have
-  /// enough room under the active encoding.
+  /// \brief Load + AddToCell + Store of `tuples` under `source` into `id`;
+  /// ResourceExhausted, with nothing written, if the page cannot hold them
+  /// (v1: too few free slots; v2: encoded overflow).
   Status InsertAll(PageId id, SourceId source,
                    const std::vector<SpatialTuple>& tuples);
+
+  /// InsertAll of one tuple.
+  Status Insert(PageId id, SourceId source, const SpatialTuple& tuple) {
+    return InsertAll(id, source, {tuple});
+  }
+
+  /// \brief Load + RemoveFromCell + Store (the write only when a tuple was
+  /// removed); returns true if one was.
+  Result<bool> Remove(PageId id, SourceId source, DocId doc);
 
   /// Free capacity of `id`, expressed in tuple-slot units (free bytes /
   /// kTupleBytes) so existing v1 callers keep their semantics.
@@ -398,6 +457,15 @@ class DataFile {
   const CellCache& cell_cache() const { return cell_cache_; }
 
  private:
+  /// Zeroes `out` (one page) and encodes `page` into it in the v2 or v1
+  /// layout; returns the page's free bytes.
+  Result<uint32_t> EncodeInto(const TuplePage& page, bool v2,
+                              uint8_t* out) const;
+
+  /// True when `page` fits one page under the active encoding (v1: slot
+  /// count; v2: exact encoded size).
+  bool Fits(const TuplePage& page) const;
+
   std::unique_ptr<PageFile> file_;
   BufferPool pool_;
   CellCache cell_cache_;

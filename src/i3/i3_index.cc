@@ -28,17 +28,32 @@ std::unique_ptr<PageFile> WithIntegrity(const I3Options& options,
   return std::make_unique<ChecksummedPageFile>(std::move(base));
 }
 
-/// Builds the data file per the options (factory > in-memory default).
-std::unique_ptr<DataFile> MakeDataFile(const I3Options& options) {
+/// Builds the data file per the options: page_file_factory takes
+/// precedence over data_file_path, which takes precedence over the
+/// in-memory default. Only the disk backing can fail.
+Result<std::unique_ptr<DataFile>> MakeDataFile(const I3Options& options) {
   const size_t physical = PhysicalPageSize(options);
-  std::unique_ptr<PageFile> base =
-      options.page_file_factory
-          ? options.page_file_factory(physical)
-          : std::make_unique<InMemoryPageFile>(physical);
+  std::unique_ptr<PageFile> base;
+  if (options.page_file_factory) {
+    base = options.page_file_factory(physical);
+  } else if (!options.data_file_path.empty()) {
+    auto file = OnDiskPageFile::Create(options.data_file_path, physical);
+    if (!file.ok()) return file.status();
+    base = file.MoveValue();
+  } else {
+    base = std::make_unique<InMemoryPageFile>(physical);
+  }
   return std::make_unique<DataFile>(WithIntegrity(options, std::move(base)),
                                     options.buffer_pool,
                                     options.compress_pages,
                                     options.cell_cache_bytes);
+}
+
+/// `options` minus the disk path: the constructor cannot report a failed
+/// file creation, so only Create honors data_file_path.
+I3Options InMemory(I3Options options) {
+  options.data_file_path.clear();
+  return options;
 }
 
 }  // namespace
@@ -46,7 +61,7 @@ std::unique_ptr<DataFile> MakeDataFile(const I3Options& options) {
 I3Index::I3Index(I3Options options)
     : options_(options),
       cells_(options.space),
-      data_(MakeDataFile(options)),
+      data_(MakeDataFile(InMemory(options)).MoveValue()),
       head_(options.signature_bits),
       stats_emitter_("I3", View(I3SearchStats{})) {
   assert(options_.max_split_level >= 1);
@@ -75,18 +90,24 @@ I3Index::I3Index(I3Options options)
       "Deferred candidates discarded at pop time because the exact "
       "re-derived upper bound no longer beats the k-th heap score.",
       {{"index", "I3"}});
+  cell_relocations_total_ = reg.GetCounter(
+      "i3_cell_relocations_total",
+      "Keyword cells moved to a roomier page because an insert overflowed "
+      "theirs (Algorithms 2-3).",
+      {{"index", "I3"}});
+  cell_splits_total_ = reg.GetCounter(
+      "i3_cell_splits_total",
+      "Keyword cells split into quadrant children because they became "
+      "dense (Algorithms 2-3).",
+      {{"index", "I3"}});
 }
 
 Result<std::unique_ptr<I3Index>> I3Index::Create(I3Options options) {
-  auto index = std::make_unique<I3Index>(options);
-  if (!options.data_file_path.empty()) {
-    auto file = OnDiskPageFile::Create(options.data_file_path,
-                                       PhysicalPageSize(options));
-    if (!file.ok()) return file.status();
-    index->data_ = std::make_unique<DataFile>(
-        WithIntegrity(options, file.MoveValue()), options.buffer_pool,
-        options.compress_pages);
-  }
+  auto data = MakeDataFile(options);
+  if (!data.ok()) return data.status();
+  auto index = std::make_unique<I3Index>(InMemory(options));
+  index->options_ = options;
+  index->data_ = data.MoveValue();
   return index;
 }
 
@@ -161,38 +182,36 @@ Status I3Index::InsertNewKeyword(const SpatialTuple& t) {
 // the page: under v1 it is the cell's tuple count against the P/B capacity
 // (equivalent to Algorithm 2's "page full and all tuples ours" -- a cell
 // can only reach capacity alone on its page); under v2 it is the cell's
-// encoded one-page envelope (see DataFile::CellMustSplit), so compressed
+// encoded one-page envelope (see DataFile::AppendToCell), so compressed
 // cells pack several times more tuples before going dense.
 Status I3Index::InsertNonDenseRoot(const SpatialTuple& t,
                                    LookupEntry* entry) {
-  auto page_res = data_->Read(entry->page);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-
-  if (data_->CellMustSplit(page, entry->source, t)) {
-    // The keyword becomes dense in the root cell: split and re-insert.
-    auto node_res =
-        SplitCell(options_.space, entry->page, std::move(page),
-                  entry->source);
-    if (!node_res.ok()) return node_res.status();
-    entry->dense = true;
-    entry->node = node_res.ValueOrDie();
-    entry->page = kInvalidPageId;
-    entry->source = kFreeSlot;
-    return InsertDense(t, entry->node, CellId::Root(), options_.space);
+  auto edit_res = data_->Load(entry->page);
+  if (!edit_res.ok()) return edit_res.status();
+  PageEdit edit = edit_res.MoveValue();
+  auto append = data_->AppendToCell(&edit, entry->source, t);
+  if (!append.ok()) return append.status();
+  switch (append.ValueOrDie()) {
+    case DataFile::Append::kAppended:
+      return data_->Store(edit);
+    case DataFile::Append::kPageFull: {
+      // Full page: relocate this keyword cell to a roomier page.
+      auto new_page = RelocateCell(&edit, entry->source, t);
+      if (!new_page.ok()) return new_page.status();
+      entry->page = new_page.ValueOrDie();
+      return Status::OK();
+    }
+    case DataFile::Append::kMustSplit:
+      break;
   }
-
-  page.slots.push_back({entry->source, t});
-  if (data_->Fits(page)) {
-    return data_->Write(entry->page, page);
-  }
-  page.slots.pop_back();
-
-  // Full page: relocate this keyword cell to a roomier page.
-  auto new_page = RelocateCell(entry->page, &page, entry->source, {t});
-  if (!new_page.ok()) return new_page.status();
-  entry->page = new_page.ValueOrDie();
-  return Status::OK();
+  // The keyword becomes dense in the root cell: split and re-insert.
+  auto node_res = SplitCell(options_.space, edit, entry->source);
+  if (!node_res.ok()) return node_res.status();
+  entry->dense = true;
+  entry->node = node_res.ValueOrDie();
+  entry->page = kInvalidPageId;
+  entry->source = kFreeSlot;
+  return InsertDense(t, entry->node, CellId::Root(), options_.space);
 }
 
 // Algorithm 3: insertDenseKwd, iteratively along the root-to-leaf path.
@@ -231,83 +250,79 @@ Status I3Index::InsertDense(const SpatialTuple& t, NodeId node_id,
       }
 
       case ChildRef::Kind::kPage: {
-        // Try the primary page first.
-        auto page_res = data_->Read(ref.page);
-        if (!page_res.ok()) return page_res.status();
-        TuplePage page = page_res.MoveValue();
-
-        // Density test on the cell (see InsertNonDenseRoot: slot capacity
-        // under v1, the encoded one-page envelope under v2).
-        if (data_->CellMustSplit(page, ref.source, t)) {
-          if (cell.level() >= options_.max_split_level) {
-            // Cannot split further: extend the overflow chain. Whether a
-            // page has room is encoding-dependent, so each candidate --
-            // the primary page first, then the chain -- is simply tried;
-            // a full page answers ResourceExhausted and the scan moves on.
-            Status primary = data_->Insert(ref.page, ref.source, t);
-            if (primary.code() != StatusCode::kResourceExhausted) {
-              return primary;
-            }
-            for (PageId op : ref.overflow) {
-              Status st = data_->Insert(op, ref.source, t);
-              if (st.code() != StatusCode::kResourceExhausted) return st;
-            }
-            auto extra_res = data_->PageWithFreeSlots(1);
-            if (!extra_res.ok()) return extra_res.status();
-            PageId extra = extra_res.ValueOrDie();
-            Status st = Status::ResourceExhausted("chain page reuse");
-            if (extra != ref.page) {
-              // (The primary page may well have free bytes, but the chain
-              // must stay a set of distinct pages, so it is never reused.)
-              st = data_->Insert(extra, ref.source, t);
-              if (!st.ok() &&
-                  st.code() != StatusCode::kResourceExhausted) {
-                return st;
-              }
-            }
-            if (!st.ok()) {
-              // Free bytes promised a *new* cell fits; growing an existing
-              // group of this cell can still overflow. A fresh page never
-              // does.
-              auto fresh = data_->AllocatePage();
-              if (!fresh.ok()) return fresh.status();
-              extra = fresh.ValueOrDie();
-              I3_RETURN_NOT_OK(data_->Insert(extra, ref.source, t));
-            }
-            ref.overflow.push_back(extra);
-            return Status::OK();
-          }
-          // Child keyword cell becomes dense (Algorithm 3, lines 5-10).
-          const PageId child_page = ref.page;
-          const SourceId child_source = ref.source;
-          auto child_node =
-              SplitCell(rect, child_page, std::move(page), child_source);
-          if (!child_node.ok()) return child_node.status();
-          // `node`/`ref` may dangle after head-file allocation; re-acquire.
-          head_.Mutate(node_id)->child[q] =
-              ChildRef::ToSummary(child_node.ValueOrDie());
-          node_id = child_node.ValueOrDie();
-          continue;
+        // Try the primary page first, after the density test on the cell
+        // (see InsertNonDenseRoot).
+        auto edit_res = data_->Load(ref.page);
+        if (!edit_res.ok()) return edit_res.status();
+        PageEdit edit = edit_res.MoveValue();
+        auto append = data_->AppendToCell(&edit, ref.source, t);
+        if (!append.ok()) return append.status();
+        if (append.ValueOrDie() == DataFile::Append::kAppended) {
+          return data_->Store(edit);
         }
-
-        page.slots.push_back({ref.source, t});
-        if (data_->Fits(page)) {
-          return data_->Write(ref.page, page);
+        if (append.ValueOrDie() == DataFile::Append::kPageFull) {
+          // Full page (Algorithm 3, lines 12-16): move the cell.
+          auto new_page = RelocateCell(&edit, ref.source, t);
+          if (!new_page.ok()) return new_page.status();
+          ref.page = new_page.ValueOrDie();
+          return Status::OK();
         }
-        page.slots.pop_back();
-
-        // Full page (Algorithm 3, lines 12-16): move the cell.
-        auto new_page = RelocateCell(ref.page, &page, ref.source, {t});
-        if (!new_page.ok()) return new_page.status();
-        ref.page = new_page.ValueOrDie();
-        return Status::OK();
+        if (cell.level() >= options_.max_split_level) {
+          return ExtendOverflowChain(&ref, t);
+        }
+        // Child keyword cell becomes dense (Algorithm 3, lines 5-10).
+        auto child_node = SplitCell(rect, edit, ref.source);
+        if (!child_node.ok()) return child_node.status();
+        // `node`/`ref` may dangle after head-file allocation; re-acquire.
+        head_.Mutate(node_id)->child[q] =
+            ChildRef::ToSummary(child_node.ValueOrDie());
+        node_id = child_node.ValueOrDie();
+        continue;
       }
     }
   }
 }
 
-Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
-                                  TuplePage page_img, SourceId source) {
+Status I3Index::ExtendOverflowChain(ChildRef* ref, const SpatialTuple& t) {
+  // The cell cannot split further. Whether a page has room is
+  // encoding-dependent, so each candidate -- the primary page first, then
+  // the chain -- is simply tried; a full page answers ResourceExhausted and
+  // the scan moves on.
+  Status primary = data_->Insert(ref->page, ref->source, t);
+  if (primary.code() != StatusCode::kResourceExhausted) return primary;
+  for (PageId op : ref->overflow) {
+    Status st = data_->Insert(op, ref->source, t);
+    if (st.code() != StatusCode::kResourceExhausted) return st;
+  }
+  auto extra_res = data_->PageWithFreeSlots(1);
+  if (!extra_res.ok()) return extra_res.status();
+  PageId extra = extra_res.ValueOrDie();
+  Status st = Status::ResourceExhausted("chain page reuse");
+  if (extra != ref->page) {
+    // (The primary page may well have free bytes, but the chain must stay
+    // a set of distinct pages, so it is never reused.)
+    st = data_->Insert(extra, ref->source, t);
+    if (!st.ok() && st.code() != StatusCode::kResourceExhausted) return st;
+  }
+  if (!st.ok()) {
+    // Free bytes promised a *new* cell fits; growing an existing group of
+    // this cell can still overflow. A fresh page never does.
+    auto fresh = data_->AllocatePage();
+    if (!fresh.ok()) return fresh.status();
+    extra = fresh.ValueOrDie();
+    I3_RETURN_NOT_OK(data_->Insert(extra, ref->source, t));
+  }
+  ref->overflow.push_back(extra);
+  return Status::OK();
+}
+
+Result<NodeId> I3Index::SplitCell(const Rect& rect, const PageEdit& edit,
+                                  SourceId source) {
+  cell_splits_total_->Increment();
+  auto img_res = data_->Slots(edit);
+  if (!img_res.ok()) return img_res.status();
+  TuplePage page_img = img_res.MoveValue();
+  const PageId page = edit.id();
   const NodeId node_id = head_.Allocate();
   SummaryNode* node = head_.Mutate(node_id);
 
@@ -325,12 +340,18 @@ Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
 
   // The v1 layout always re-fits (retagging preserves the slot count), but
   // the v2 encoding can grow: the split turns one group into up to four,
-  // each with its own directory entry, header, and bases. When the page
-  // overflows, child cells are spilled -- whole groups at a time -- to
-  // pages with room until the rest fits; a child cell is a unit, so every
-  // ChildRef still names exactly one primary page.
-  for (int q = 0; q < kQuadrants && !data_->Fits(page_img); ++q) {
-    if (child_sources[q] == kFreeSlot) continue;
+  // each with its own directory entry, header, and bases. While the page
+  // overflows (the write is refused before any I/O), child cells are
+  // spilled -- whole groups at a time -- to pages with room; a child cell
+  // is a unit, so every ChildRef still names exactly one primary page.
+  for (int q = 0;; ++q) {
+    Status written = data_->Write(page, page_img);
+    if (written.code() != StatusCode::kResourceExhausted) {
+      I3_RETURN_NOT_OK(written);
+      break;
+    }
+    while (q < kQuadrants && child_sources[q] == kFreeSlot) ++q;
+    if (q >= kQuadrants) return written;
     std::vector<StoredTuple> kept;
     std::vector<SpatialTuple> moved;
     for (const StoredTuple& st : page_img.slots) {
@@ -340,10 +361,7 @@ Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
         kept.push_back(st);
       }
     }
-    std::vector<StoredTuple> group;
-    group.reserve(moved.size());
-    for (const SpatialTuple& t : moved) group.push_back({child_sources[q], t});
-    auto target_res = data_->PageWithRoomForGroup(group);
+    auto target_res = data_->PageWithRoomForCell(moved);
     if (!target_res.ok()) return target_res.status();
     PageId target = target_res.ValueOrDie();
     if (target == page) {
@@ -364,24 +382,21 @@ Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
     }
   }
   node->RebuildSelf();
-  I3_RETURN_NOT_OK(data_->Write(page, page_img));
   return node_id;
 }
 
-Result<PageId> I3Index::RelocateCell(PageId page, TuplePage* image,
-                                     SourceId source,
-                                     const std::vector<SpatialTuple>& extra) {
-  std::vector<StoredTuple> kept;
-  std::vector<StoredTuple> moved;
-  for (const StoredTuple& st : image->slots) {
-    (st.source == source ? moved : kept).push_back(st);
-  }
-  for (const SpatialTuple& t : extra) moved.push_back({source, t});
+Result<PageId> I3Index::RelocateCell(PageEdit* edit, SourceId source,
+                                     const SpatialTuple& incoming) {
+  cell_relocations_total_->Increment();
+  auto moved_res = data_->TakeCell(edit, source);
+  if (!moved_res.ok()) return moved_res.status();
+  std::vector<SpatialTuple> moved = moved_res.MoveValue();
+  moved.push_back(incoming);
 
-  auto target_res = data_->PageWithRoomForGroup(moved);
+  auto target_res = data_->PageWithRoomForCell(moved);
   if (!target_res.ok()) return target_res.status();
   PageId target = target_res.ValueOrDie();
-  if (target == page) {
+  if (target == edit->id()) {
     // Unreachable for v1 pages (the source page is slot-full), but a v2
     // page can show free bytes while the grown cell's exact encoding
     // overflows it; relocation must leave the page either way.
@@ -389,15 +404,8 @@ Result<PageId> I3Index::RelocateCell(PageId page, TuplePage* image,
     if (!fresh.ok()) return fresh.status();
     target = fresh.ValueOrDie();
   }
-
-  image->slots = std::move(kept);
-  I3_RETURN_NOT_OK(data_->Write(page, *image));
-
-  auto target_img_res = data_->Read(target);
-  if (!target_img_res.ok()) return target_img_res.status();
-  TuplePage target_img = target_img_res.MoveValue();
-  for (StoredTuple& st : moved) target_img.slots.push_back(st);
-  I3_RETURN_NOT_OK(data_->Write(target, target_img));
+  I3_RETURN_NOT_OK(data_->Store(*edit));
+  I3_RETURN_NOT_OK(data_->InsertAll(target, source, moved));
   return target;
 }
 
@@ -422,26 +430,18 @@ Status I3Index::DeleteTuple(const SpatialTuple& t) {
   LookupEntry& entry = it->second;
 
   if (!entry.dense) {
-    auto page_res = data_->Read(entry.page);
-    if (!page_res.ok()) return page_res.status();
-    TuplePage page = page_res.MoveValue();
-    bool removed = false;
-    uint32_t remaining = 0;
-    std::vector<StoredTuple> kept;
-    for (const StoredTuple& st : page.slots) {
-      if (!removed && st.source == entry.source && st.tuple.doc == t.doc) {
-        removed = true;
-        continue;
-      }
-      if (st.source == entry.source) ++remaining;
-      kept.push_back(st);
-    }
-    if (!removed) {
+    auto edit_res = data_->Load(entry.page);
+    if (!edit_res.ok()) return edit_res.status();
+    PageEdit edit = edit_res.MoveValue();
+    auto removed = data_->RemoveFromCell(&edit, entry.source, t.doc);
+    if (!removed.ok()) return removed.status();
+    if (!removed.ValueOrDie()) {
       return Status::NotFound("tuple not found for deletion");
     }
-    page.slots = std::move(kept);
-    I3_RETURN_NOT_OK(data_->Write(entry.page, page));
-    if (remaining == 0) {
+    auto remaining = data_->CellSize(edit, entry.source);
+    if (!remaining.ok()) return remaining.status();
+    I3_RETURN_NOT_OK(data_->Store(edit));
+    if (remaining.ValueOrDie() == 0) {
       lookup_.erase(it);  // last tuple of the keyword (Section 4.5)
     }
     return Status::OK();
@@ -571,6 +571,8 @@ void I3Index::ResetIoStats() {
 Result<uint64_t> I3Index::CheckInvariants() {
   uint64_t tuple_count = 0;
   std::unordered_set<SourceId> seen_sources;
+  // Pages each reachable cell may occupy (primary page + overflow chain).
+  std::unordered_map<SourceId, std::vector<PageId>> cell_pages;
 
   // Walk every keyword's cell tree.
   for (const auto& [term, entry] : lookup_) {
@@ -587,6 +589,7 @@ Result<uint64_t> I3Index::CheckInvariants() {
       if (!seen_sources.insert(entry.source).second) {
         return Status::Corruption("source id reused across cells");
       }
+      cell_pages[entry.source] = {entry.page};
       for (const auto& t : tuples) {
         if (t.term != term) {
           return Status::Corruption("foreign term in keyword cell");
@@ -635,6 +638,9 @@ Result<uint64_t> I3Index::CheckInvariants() {
         if (!seen_sources.insert(ref.source).second) {
           return Status::Corruption("source id reused across cells");
         }
+        std::vector<PageId>& pages = cell_pages[ref.source];
+        pages = ref.overflow;
+        pages.push_back(ref.page);
         auto tuples_res = ReadCellTuples(ref.page, ref.overflow, ref.source);
         if (!tuples_res.ok()) return tuples_res.status();
         const auto& tuples = tuples_res.ValueOrDie();
@@ -667,6 +673,35 @@ Result<uint64_t> I3Index::CheckInvariants() {
         return Status::Corruption("node self summary != union of children");
       }
     }
+  }
+
+  // Orphan check: every cell stored on any data page is a reachable cell,
+  // on one of that cell's pages, and the pages hold no tuple the walk
+  // above did not count. CheckPage also pins each page to the exact
+  // encoding of its slots (directory count, block-max, used bytes).
+  uint64_t stored = 0;
+  for (PageId p = 0; p < data_->PageCount(); ++p) {
+    Status misplaced;
+    I3_RETURN_NOT_OK(data_->CheckPage(p, [&](SourceId source, uint32_t n) {
+      stored += n;
+      auto it = cell_pages.find(source);
+      if (it == cell_pages.end()) {
+        misplaced = Status::Corruption("orphan cell " +
+                                       std::to_string(source) + " on page " +
+                                       std::to_string(p));
+      } else if (std::find(it->second.begin(), it->second.end(), p) ==
+                 it->second.end()) {
+        misplaced = Status::Corruption("cell " + std::to_string(source) +
+                                       " stored off its pages on page " +
+                                       std::to_string(p));
+      }
+    }));
+    I3_RETURN_NOT_OK(misplaced);
+  }
+  if (stored != tuple_count) {
+    return Status::Corruption("data pages hold " + std::to_string(stored) +
+                              " tuples, reachable cells " +
+                              std::to_string(tuple_count));
   }
   return tuple_count;
 }

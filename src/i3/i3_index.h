@@ -168,8 +168,11 @@ class I3Index final : public SpatialKeywordIndex {
   /// \brief Structural invariant checker used by the property tests:
   /// verifies that every tuple is stored in the keyword cell containing its
   /// location, that no non-dense cell exceeds capacity, that summaries
-  /// cover their subtrees (signature superset, max_s is a max), and that
-  /// the free-space map matches the pages. Returns the number of tuples.
+  /// cover their subtrees (signature superset, max_s is a max), that
+  /// every page is the exact encoding of its slots and agrees with the
+  /// free-space map, and that no page holds an orphan cell (one not
+  /// reachable from the lookup table, or off its cell's pages). Returns
+  /// the number of tuples.
   Result<uint64_t> CheckInvariants();
 
  private:
@@ -190,16 +193,19 @@ class I3Index final : public SpatialKeywordIndex {
   Status InsertNonDenseRoot(const SpatialTuple& t, LookupEntry* entry);
   Status InsertDense(const SpatialTuple& t, NodeId node_id, CellId cell,
                      Rect rect);
-  /// Splits the dense keyword cell whose tuples (tagged `source`) fill
-  /// `page`: allocates a summary node, partitions tuples by quadrant with
-  /// fresh source ids (retagged in place), and returns the new node.
-  Result<NodeId> SplitCell(const Rect& rect, PageId page, TuplePage page_img,
+  /// Splits the dense keyword cell `source` of the loaded page `edit`:
+  /// allocates a summary node, partitions the cell's tuples by quadrant
+  /// with fresh source ids (retagged in place), rewrites the page, and
+  /// returns the new node.
+  Result<NodeId> SplitCell(const Rect& rect, const PageEdit& edit,
                            SourceId source);
-  /// Moves the keyword cell `source` out of full page `page` (image given)
-  /// to a page with room for the cell plus `extra` tuples; returns the new
-  /// page. `*image` is updated for the old page and both pages are written.
-  Result<PageId> RelocateCell(PageId page, TuplePage* image, SourceId source,
-                              const std::vector<SpatialTuple>& extra);
+  /// Moves the keyword cell `source` off the loaded page `*edit` to a page
+  /// with room for the cell plus `incoming`; writes both pages and returns
+  /// the new one.
+  Result<PageId> RelocateCell(PageEdit* edit, SourceId source,
+                              const SpatialTuple& incoming);
+  /// Adds `t` to the overflow chain of a cell at the deepest split level.
+  Status ExtendOverflowChain(ChildRef* ref, const SpatialTuple& t);
 
   // --- delete path (Section 4.5) ---
   Status DeleteTuple(const SpatialTuple& t);
@@ -271,6 +277,10 @@ class I3Index final : public SpatialKeywordIndex {
   // bench-regression gate asserts on).
   obs::Counter* cells_skipped_total_;
   obs::Counter* blockmax_prunes_total_;
+  // Write-path churn: whole-cell moves and splits (each rewrites a page
+  // or two, unlike a plain cell edit).
+  obs::Counter* cell_relocations_total_;
+  obs::Counter* cell_splits_total_;
   SearchStatsEmitter stats_emitter_;
 };
 

@@ -10,6 +10,8 @@
 
 #include <cstring>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -345,6 +347,365 @@ TEST(CellCodecTest, OverflowingEncodeWritesNothing) {
   ASSERT_FALSE(used.ok());
   EXPECT_EQ(used.status().code(), StatusCode::kResourceExhausted);
   for (uint8_t b : page) EXPECT_EQ(b, 0);
+}
+
+// ------------------------------------------------------------ edit path
+//
+// Every group-local edit must leave exactly the bytes EncodePage produces
+// for the edited slot sequence. The tests below keep that slot sequence
+// as a model -- cells in first-appearance order, tuples in slot order --
+// and compare whole pages, tail bytes included, after each edit.
+
+class EditModel {
+ public:
+  explicit EditModel(size_t page_size) : page_(page_size, 0) {
+    EXPECT_TRUE(EncodePage(nullptr, 0, page_.data(), page_.size()).ok());
+  }
+
+  uint8_t* page() { return page_.data(); }
+  size_t page_size() const { return page_.size(); }
+
+  /// AppendToGroup on the page and the model; the page must match the
+  /// encoding of the model, or stay untouched on ResourceExhausted.
+  Status Append(uint32_t source, const std::vector<SpatialTuple>& tuples) {
+    const std::vector<uint8_t> before = page_;
+    Status st = AppendToGroup(page_.data(), page_.size(), source,
+                              tuples.data(), tuples.size());
+    if (st.code() == StatusCode::kResourceExhausted) {
+      EXPECT_EQ(page_, before) << "a refused append changed the page";
+      return st;
+    }
+    if (st.ok()) {
+      std::vector<SpatialTuple>& cell = Cell(source);
+      cell.insert(cell.end(), tuples.begin(), tuples.end());
+    }
+    return st;
+  }
+
+  Result<bool> Remove(uint32_t source, uint32_t doc) {
+    auto removed = RemoveFromGroup(page_.data(), page_.size(), source, doc);
+    if (removed.ok() && removed.ValueOrDie()) {
+      std::vector<SpatialTuple>& cell = Cell(source);
+      for (auto it = cell.begin(); it != cell.end(); ++it) {
+        if (it->doc == doc) {
+          cell.erase(it);
+          break;
+        }
+      }
+      DropEmpty();
+    }
+    return removed;
+  }
+
+  std::vector<SpatialTuple> Take(uint32_t source) {
+    std::vector<SpatialTuple> out;
+    EXPECT_TRUE(TakeGroup(page_.data(), page_.size(), source, &out).ok());
+    std::vector<SpatialTuple> want = Cell(source);
+    Cell(source).clear();
+    DropEmpty();
+    EXPECT_EQ(out.size(), want.size());
+    for (size_t i = 0; i < want.size() && i < out.size(); ++i) {
+      EXPECT_TRUE(out[i] == want[i]) << "tuple " << i;
+    }
+    return out;
+  }
+
+  /// The page bytes EncodePage gives the model's slots.
+  std::vector<uint8_t> Canonical() const {
+    std::vector<StoredTuple> slots;
+    for (const auto& [source, tuples] : cells_) {
+      for (const SpatialTuple& t : tuples) slots.push_back({source, t});
+    }
+    std::vector<uint8_t> out(page_.size(), 0);
+    EXPECT_TRUE(
+        EncodePage(slots.data(), slots.size(), out.data(), out.size()).ok());
+    return out;
+  }
+
+  void ExpectCanonical(const std::string& what) const {
+    const std::vector<uint8_t> want = Canonical();
+    ASSERT_EQ(want.size(), page_.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(page_[i], want[i]) << what << ": first difference at byte "
+                                   << i << " of " << UsedBytes(want.data());
+    }
+  }
+
+  /// The model's tuples of `source` (none when absent).
+  std::vector<SpatialTuple> tuples(uint32_t source) const {
+    for (const auto& [s, tuples] : cells_) {
+      if (s == source) return tuples;
+    }
+    return {};
+  }
+
+  /// Directory index of `source` on the page.
+  uint32_t GroupIndex(uint32_t source) const {
+    for (uint32_t g = 0; g < cells_.size(); ++g) {
+      if (cells_[g].first == source) return g;
+    }
+    return UINT32_MAX;
+  }
+
+ private:
+  std::vector<SpatialTuple>& Cell(uint32_t source) {
+    for (auto& [s, tuples] : cells_) {
+      if (s == source) return tuples;
+    }
+    cells_.push_back({source, {}});
+    return cells_.back().second;
+  }
+
+  void DropEmpty() {
+    for (auto it = cells_.begin(); it != cells_.end();) {
+      it = it->second.empty() ? cells_.erase(it) : it + 1;
+    }
+  }
+
+  std::vector<uint8_t> page_;
+  std::vector<std::pair<uint32_t, std::vector<SpatialTuple>>> cells_;
+};
+
+SpatialTuple Tup(uint32_t term, uint32_t doc, double x, double y, float w) {
+  return SpatialTuple{term, doc, {x, y}, w};
+}
+
+/// Group header fields (layout in cell_codec.h).
+struct HeaderBytes {
+  uint32_t min_doc;
+  uint8_t doc_bits, weight_mode, x_bytes, y_bytes;
+};
+
+HeaderBytes HeaderOf(const uint8_t* page, size_t page_size, uint32_t g) {
+  GroupRef ref;
+  EXPECT_TRUE(ReadGroupRef(page, page_size, g, &ref).ok());
+  HeaderBytes h;
+  std::memcpy(&h.min_doc, page + ref.offset, 4);
+  h.doc_bits = page[ref.offset + 4];
+  h.weight_mode = page[ref.offset + 5];
+  h.x_bytes = page[ref.offset + 6];
+  h.y_bytes = page[ref.offset + 7];
+  return h;
+}
+
+// A second cell on both sides of the edited one, so every edit also moves
+// the bytes of a neighbour.
+void AddNeighbours(EditModel* m) {
+  ASSERT_TRUE(m->Append(1, {Tup(10, 5, 1.0, 1.0, 0.2f),
+                            Tup(10, 9, 1.5, 1.25, 0.3f)})
+                  .ok());
+  ASSERT_TRUE(m->Append(2, {Tup(20, 100, 50.0, 50.0, 0.5f)}).ok());
+  ASSERT_TRUE(m->Append(3, {Tup(30, 7, 90.0, 10.0, 0.9f),
+                            Tup(30, 3, 90.5, 10.5, 0.1f)})
+                  .ok());
+  m->ExpectCanonical("neighbours");
+}
+
+TEST(CellCodecEditTest, DocBitsGrowAcrossAPowerOfTwo) {
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  // Deltas 0..7 need 3 bits; delta 8 needs 4.
+  for (uint32_t d = 0; d < 8; ++d) {
+    ASSERT_TRUE(m.Append(2, {Tup(20, 100 + d, 50.0, 50.0, 0.5f)}).ok());
+    m.ExpectCanonical("delta " + std::to_string(d));
+  }
+  EXPECT_EQ(HeaderOf(m.page(), m.page_size(), m.GroupIndex(2)).doc_bits, 3);
+  ASSERT_TRUE(m.Append(2, {Tup(20, 108, 50.0, 50.0, 0.5f)}).ok());
+  m.ExpectCanonical("delta 8");
+  EXPECT_EQ(HeaderOf(m.page(), m.page_size(), m.GroupIndex(2)).doc_bits, 4);
+  // Appends inside the new width extend the stream, crossing partial bytes.
+  for (uint32_t d = 9; d < 16; ++d) {
+    ASSERT_TRUE(m.Append(2, {Tup(20, 100 + d, 50.0, 50.0, 0.5f)}).ok());
+    m.ExpectCanonical("delta " + std::to_string(d));
+  }
+}
+
+TEST(CellCodecEditTest, WeightModeChangesConstToQ16ToRaw) {
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  ASSERT_TRUE(m.Append(2, {Tup(20, 101, 50.0, 50.0, 0.5f)}).ok());
+  m.ExpectCanonical("const append");
+  EXPECT_EQ(HeaderOf(m.page(), m.page_size(), m.GroupIndex(2)).weight_mode,
+            2);
+  // Integer weights 0..65535 sit on the q16 lattice exactly (step 1.0).
+  EditModel q(kDefaultPageSize);
+  AddNeighbours(&q);
+  ASSERT_TRUE(q.Append(4, {Tup(40, 1, 5.0, 5.0, 0.0f)}).ok());
+  ASSERT_TRUE(q.Append(4, {Tup(40, 2, 5.0, 5.0, 0.0f)}).ok());
+  EXPECT_EQ(HeaderOf(q.page(), q.page_size(), q.GroupIndex(4)).weight_mode,
+            2);
+  ASSERT_TRUE(q.Append(4, {Tup(40, 3, 5.0, 5.0, 65535.0f)}).ok());
+  q.ExpectCanonical("const -> q16");
+  EXPECT_EQ(HeaderOf(q.page(), q.page_size(), q.GroupIndex(4)).weight_mode,
+            1);
+  ASSERT_TRUE(q.Append(4, {Tup(40, 4, 5.0, 5.0, 1234.0f)}).ok());
+  q.ExpectCanonical("q16 in-range append");
+  EXPECT_EQ(HeaderOf(q.page(), q.page_size(), q.GroupIndex(4)).weight_mode,
+            1);
+  ASSERT_TRUE(q.Append(4, {Tup(40, 5, 5.0, 5.0, 0.3f)}).ok());
+  q.ExpectCanonical("q16 -> raw");
+  EXPECT_EQ(HeaderOf(q.page(), q.page_size(), q.GroupIndex(4)).weight_mode,
+            0);
+  ASSERT_TRUE(q.Append(4, {Tup(40, 6, 5.0, 5.0, 0.7f)}).ok());
+  q.ExpectCanonical("raw in-range append");
+  ASSERT_TRUE(q.Append(4, {Tup(40, 7, 5.0, 5.0, 70000.0f)}).ok());
+  q.ExpectCanonical("raw new maximum");
+  ASSERT_TRUE(q.Append(4, {Tup(40, 8, 5.0, 5.0, -1.0f)}).ok());
+  q.ExpectCanonical("raw new minimum");
+}
+
+TEST(CellCodecEditTest, DocBelowMinDocReencodes) {
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  ASSERT_TRUE(m.Append(2, {Tup(20, 130, 50.0, 50.0, 0.5f)}).ok());
+  const SpatialTuple low = Tup(20, 40, 50.0, 50.0, 0.5f);
+  // The envelope needs the group's largest doc, which only the stream has.
+  std::vector<SpatialTuple> grown = m.tuples(2);
+  grown.push_back(low);
+  auto env = EnvelopeWith(m.page(), m.page_size(), 2, low);
+  ASSERT_TRUE(env.ok());
+  EXPECT_EQ(env.ValueOrDie(), CellEnvelopeBytes(grown.data(), grown.size()));
+  ASSERT_TRUE(m.Append(2, {low}).ok());
+  m.ExpectCanonical("doc below min_doc");
+  EXPECT_EQ(HeaderOf(m.page(), m.page_size(), m.GroupIndex(2)).min_doc, 40u);
+}
+
+TEST(CellCodecEditTest, ResidualWideningReencodes) {
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  const uint32_t before =
+      HeaderOf(m.page(), m.page_size(), m.GroupIndex(1)).x_bytes;
+  // Far from the base: the XOR residual reaches the exponent bytes.
+  const SpatialTuple far = Tup(10, 11, -75.0, 1.0, 0.25f);
+  std::vector<SpatialTuple> grown = m.tuples(1);
+  grown.push_back(far);
+  auto env = EnvelopeWith(m.page(), m.page_size(), 1, far);
+  ASSERT_TRUE(env.ok());
+  EXPECT_EQ(env.ValueOrDie(), CellEnvelopeBytes(grown.data(), grown.size()));
+  ASSERT_TRUE(m.Append(1, {far}).ok());
+  m.ExpectCanonical("residual widening");
+  EXPECT_GT(HeaderOf(m.page(), m.page_size(), m.GroupIndex(1)).x_bytes,
+            before);
+}
+
+TEST(CellCodecEditTest, TakeFirstMiddleAndLastGroup) {
+  for (uint32_t victim : {1u, 2u, 3u}) {
+    EditModel m(kDefaultPageSize);
+    AddNeighbours(&m);
+    m.Take(victim);
+    m.ExpectCanonical("take group " + std::to_string(victim));
+    GroupRef ref;
+    auto found = FindGroup(m.page(), m.page_size(), victim, &ref);
+    ASSERT_TRUE(found.ok());
+    EXPECT_FALSE(found.ValueOrDie());
+  }
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  m.Take(2);
+  m.Take(1);
+  m.Take(3);
+  m.ExpectCanonical("every group taken");
+  EXPECT_EQ(UsedBytes(m.page()), kV2PageHeaderBytes);
+  EXPECT_TRUE(m.Take(9).empty());  // absent: no-op
+}
+
+TEST(CellCodecEditTest, RemoveTuplesAndAGroupsLastTuple) {
+  EditModel m(kDefaultPageSize);
+  AddNeighbours(&m);
+  for (uint32_t d = 0; d < 6; ++d) {
+    ASSERT_TRUE(m.Append(2, {Tup(20, 101 + d, 50.0 + d, 50.0 - d,
+                                 0.5f + 0.01f * d)})
+                    .ok());
+  }
+  m.ExpectCanonical("setup");
+  // First tuple (the coordinate base), a middle one, the last one.
+  for (uint32_t doc : {100u, 103u, 106u}) {
+    auto removed = m.Remove(2, doc);
+    ASSERT_TRUE(removed.ok());
+    EXPECT_TRUE(removed.ValueOrDie());
+    m.ExpectCanonical("remove doc " + std::to_string(doc));
+  }
+  auto missing = m.Remove(2, 100);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(missing.ValueOrDie());
+  // Group 2's only tuple: the group goes, its neighbours move down.
+  ASSERT_TRUE(m.Append(5, {Tup(50, 77, 3.0, 4.0, 0.4f)}).ok());
+  auto last = m.Remove(5, 77);
+  ASSERT_TRUE(last.ok() && last.ValueOrDie());
+  m.ExpectCanonical("remove a group's last tuple");
+  GroupRef ref;
+  auto found = FindGroup(m.page(), m.page_size(), 5, &ref);
+  ASSERT_TRUE(found.ok());
+  EXPECT_FALSE(found.ValueOrDie());
+}
+
+TEST(CellCodecEditTest, FillsPageToExactlyPageSize) {
+  // One cell at one location with one weight: after the first 256 docs fix
+  // the width at 8 bits, every append adds exactly one byte.
+  const size_t kPage = 512;
+  EditModel m(kPage);
+  std::vector<SpatialTuple> seed;
+  for (uint32_t d = 0; d < 256; ++d) seed.push_back(Tup(1, d, 7.0, 7.0, 0.5f));
+  ASSERT_TRUE(m.Append(1, seed).ok());
+  m.ExpectCanonical("seed");
+  uint32_t doc = 0;
+  while (UsedBytes(m.page()) < kPage) {
+    ASSERT_TRUE(m.Append(1, {Tup(1, doc++ % 256, 7.0, 7.0, 0.5f)}).ok());
+  }
+  m.ExpectCanonical("full");
+  EXPECT_EQ(UsedBytes(m.page()), kPage);
+  EXPECT_EQ(m.Append(1, {Tup(1, 3, 7.0, 7.0, 0.5f)}).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(m.Append(2, {Tup(2, 3, 7.0, 7.0, 0.5f)}).code(),
+            StatusCode::kResourceExhausted);
+  m.ExpectCanonical("refused appends");
+}
+
+TEST(CellCodecEditTest, RandomEditSequencesMatchEncodePage) {
+  // Small pages, so appends also run into a full page and are refused.
+  uint32_t refused = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    EditModel m(kV2MinPageSize);
+    // Weight regimes: constant, the q16 integer lattice, and raw floats.
+    const int regime = static_cast<int>(seed % 3);
+    auto weight = [&]() -> float {
+      if (regime == 0) return 0.5f;
+      if (regime == 1) return static_cast<float>(rng.UniformInt(0, 8) * 4096);
+      return static_cast<float>(rng.UniformDouble(0.45, 0.55));
+    };
+    for (int step = 0; step < 1500; ++step) {
+      const uint32_t source = static_cast<uint32_t>(rng.UniformInt(1, 6));
+      const double roll = rng.UniformDouble(0.0, 1.0);
+      if (roll < 0.6) {
+        const SpatialTuple t =
+            Tup(source, static_cast<uint32_t>(rng.UniformInt(0, 5000)),
+                10.0 * source + rng.UniformDouble(0.0, 1.0),
+                5.0 + rng.UniformDouble(0.0, 0.01), weight());
+        auto env = EnvelopeWith(m.page(), m.page_size(), source, t);
+        ASSERT_TRUE(env.ok());
+        std::vector<SpatialTuple> grown = m.tuples(source);
+        grown.push_back(t);
+        ASSERT_EQ(env.ValueOrDie(),
+                  CellEnvelopeBytes(grown.data(), grown.size()));
+        Status st = m.Append(source, {t});
+        ASSERT_TRUE(st.ok() || st.code() == StatusCode::kResourceExhausted);
+        refused += !st.ok();
+      } else if (roll < 0.9) {
+        const std::vector<SpatialTuple> cell = m.tuples(source);
+        if (cell.empty()) continue;
+        const uint32_t doc =
+            cell[rng.UniformInt(0, cell.size() - 1)].doc;
+        ASSERT_TRUE(m.Remove(source, doc).ok());
+      } else {
+        m.Take(source);
+      }
+      m.ExpectCanonical("seed " + std::to_string(seed) + " step " +
+                        std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(refused, 0u);
 }
 
 // Forwards to a test-owned backing so two DataFile generations can look at

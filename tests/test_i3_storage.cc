@@ -81,10 +81,13 @@ TEST(DataFileTest, InsertReadRemove) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.ValueOrDie().slots.size(), 2u);
   EXPECT_EQ(read.ValueOrDie().CountSource(1), 1u);
-  EXPECT_FALSE(read.ValueOrDie().AllFromSource(1));
-  auto of1 = read.ValueOrDie().OfSource(1);
-  ASSERT_EQ(of1.size(), 1u);
-  EXPECT_EQ(of1[0], t1);
+  EXPECT_EQ(read.ValueOrDie().slots[0].source, 1u);
+  EXPECT_EQ(read.ValueOrDie().slots[0].tuple, t1);
+  auto edit = df.Load(p);
+  ASSERT_TRUE(edit.ok());
+  EXPECT_EQ(df.CellSize(edit.ValueOrDie(), 1).ValueOrDie(), 1u);
+  EXPECT_EQ(df.CellSize(edit.ValueOrDie(), 2).ValueOrDie(), 1u);
+  EXPECT_EQ(df.CellSize(edit.ValueOrDie(), 3).ValueOrDie(), 0u);
 
   auto removed = df.Remove(p, 1, 10);
   ASSERT_TRUE(removed.ok());
@@ -113,16 +116,20 @@ TEST(DataFileTest, FullPageRejectsInsert) {
   EXPECT_NE(other.ValueOrDie(), p);
 }
 
-TEST(DataFileTest, TakeSourceMovesCell) {
+TEST(DataFileTest, TakeCellMovesCell) {
   DataFile df(256);
   const PageId p = df.PageWithFreeSlots(4).ValueOrDie();
   for (uint32_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(df.Insert(p, 7, {1, i, {double(i), 0.0}, 0.5f}).ok());
   }
   ASSERT_TRUE(df.Insert(p, 8, {2, 50, {9, 9}, 0.9f}).ok());
-  auto taken = df.TakeSource(p, 7);
+  auto edit = df.Load(p);
+  ASSERT_TRUE(edit.ok());
+  auto taken = df.TakeCell(&edit.ValueOrDie(), 7);
   ASSERT_TRUE(taken.ok());
   EXPECT_EQ(taken.ValueOrDie().size(), 3u);
+  EXPECT_EQ(df.FreeSlots(p), 4u);  // the map moves only on Store
+  ASSERT_TRUE(df.Store(edit.ValueOrDie()).ok());
   EXPECT_EQ(df.FreeSlots(p), 7u);
   // Move the cell to another page.
   const PageId p2 = df.PageWithFreeSlots(4).ValueOrDie();

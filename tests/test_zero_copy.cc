@@ -67,7 +67,10 @@ void RunDifferential(BufferPoolOptions pool) {
       const TuplePage& img = images[p];
 
       for (SourceId src = 1; src <= kSources; ++src) {
-        const std::vector<SpatialTuple> legacy = img.OfSource(src);
+        std::vector<SpatialTuple> legacy;
+        for (const StoredTuple& st : img.slots) {
+          if (st.source == src) legacy.push_back(st.tuple);
+        }
         std::vector<SpatialTuple> visited;
         const uint32_t n = view.ForEachOfSource(
             src, [&](const SpatialTuple& t) { visited.push_back(t); });
