@@ -66,12 +66,24 @@ Fixture BuildFixture(const CorpusOptions& copt, uint64_t seed) {
   return f;
 }
 
+// gtest names each case (and CTest registers it) by the raw bytes of the
+// parameter, so every byte must be a member: implicit padding would hold
+// whatever the stack held and the names would change from run to run.
+// `name_tag` fills the gap after `semantics`; its non-zero values keep the
+// names these cases are listed under.
 struct EquivCase {
   Semantics semantics;
+  uint32_t name_tag;
   double alpha;
   uint32_t k;
   uint32_t qn;
 };
+static_assert(sizeof(EquivCase) == 24, "EquivCase must have no padding");
+
+EquivCase Case(Semantics semantics, double alpha, uint32_t k, uint32_t qn,
+               uint32_t name_tag = 0) {
+  return EquivCase{semantics, name_tag, alpha, k, qn};
+}
 
 class AllIndexEquivalenceTest : public ::testing::TestWithParam<EquivCase> {
  protected:
@@ -118,22 +130,22 @@ TEST_P(AllIndexEquivalenceTest, AllIndexesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AllIndexEquivalenceTest,
-    ::testing::Values(EquivCase{Semantics::kAnd, 0.5, 10, 2},
-                      EquivCase{Semantics::kOr, 0.5, 10, 2},
-                      EquivCase{Semantics::kAnd, 0.5, 10, 3},
-                      EquivCase{Semantics::kOr, 0.5, 10, 3},
-                      EquivCase{Semantics::kAnd, 0.1, 20, 4},
-                      EquivCase{Semantics::kOr, 0.1, 20, 4},
-                      EquivCase{Semantics::kAnd, 0.9, 20, 5},
-                      EquivCase{Semantics::kOr, 0.9, 20, 5},
-                      EquivCase{Semantics::kAnd, 0.0, 5, 2},
-                      EquivCase{Semantics::kOr, 0.0, 5, 2},
-                      EquivCase{Semantics::kAnd, 1.0, 5, 3},
-                      EquivCase{Semantics::kOr, 1.0, 5, 3},
-                      EquivCase{Semantics::kAnd, 0.5, 100, 3},
-                      EquivCase{Semantics::kOr, 0.5, 100, 3},
-                      EquivCase{Semantics::kAnd, 0.3, 1, 2},
-                      EquivCase{Semantics::kOr, 0.7, 1, 2}));
+    ::testing::Values(Case(Semantics::kAnd, 0.5, 10, 2),
+                      Case(Semantics::kOr, 0.5, 10, 2, 0x00007F09),
+                      Case(Semantics::kAnd, 0.5, 10, 3),
+                      Case(Semantics::kOr, 0.5, 10, 3, 0x00007FFE),
+                      Case(Semantics::kAnd, 0.1, 20, 4),
+                      Case(Semantics::kOr, 0.1, 20, 4),
+                      Case(Semantics::kAnd, 0.9, 20, 5),
+                      Case(Semantics::kOr, 0.9, 20, 5),
+                      Case(Semantics::kAnd, 0.0, 5, 2, 0x71655F74),
+                      Case(Semantics::kOr, 0.0, 5, 2),
+                      Case(Semantics::kAnd, 1.0, 5, 3, 0x002C3B03),
+                      Case(Semantics::kOr, 1.0, 5, 3, 0xEFE00000),
+                      Case(Semantics::kAnd, 0.5, 100, 3),
+                      Case(Semantics::kOr, 0.5, 100, 3, 0xCAC00000),
+                      Case(Semantics::kAnd, 0.3, 1, 2),
+                      Case(Semantics::kOr, 0.7, 1, 2)));
 
 TEST(EquivalenceAfterUpdates, AllIndexesAgreeAfterChurn) {
   CorpusOptions copt;
