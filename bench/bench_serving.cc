@@ -179,7 +179,7 @@ ShedResult MeasureShedding(ShardedIndex* index, const Query& query,
                            double alpha) {
   ShedResult out;
   net::ServerOptions sopts;
-  sopts.worker_threads = 2;
+  sopts.loop_threads = 2;
   sopts.default_limit = {.rate = 1.0, .burst = 5.0};
   net::Server server(index, sopts);
   if (!server.Start().ok()) {
@@ -243,7 +243,7 @@ ObsPhaseResult MeasureObservability(ShardedIndex* index,
                                     double alpha) {
   ObsPhaseResult out;
   net::ServerOptions sopts;
-  sopts.worker_threads = 2;
+  sopts.loop_threads = 2;
   sopts.slow_threshold_us = 0;
   net::Server server(index, sopts);
   if (!server.Start().ok()) {
@@ -378,7 +378,7 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
   ReplicaSet* rset = index.replica_set(0);
 
   net::ServerOptions sopts;
-  sopts.worker_threads = 2;
+  sopts.loop_threads = 2;
   sopts.result_cache_entries = cfg.result_cache_entries;
   net::Server server(&index, sopts);
   if (!server.Start().ok()) {
@@ -500,7 +500,7 @@ int Main(int argc, char** argv) {
   QueryGenerator qgen(ds);
 
   net::ServerOptions sopts;
-  sopts.worker_threads = 2;
+  sopts.loop_threads = 2;
   sopts.result_cache_entries = cfg.result_cache_entries;
   net::Server server(&index, sopts);
   if (!server.Start().ok()) {

@@ -12,7 +12,7 @@
 //                        <and|or> <text...>
 //   spatialkw_cli range  <index-prefix> <minlng> <minlat> <maxlng> <maxlat>
 //                        <and|or> <text...>
-//   spatialkw_cli serve  <index-prefix> [--port=N] [--workers=N]
+//   spatialkw_cli serve  <index-prefix> [--port=N] [--loops=N]
 //                        [--batch=N] [--rate=R] [--burst=B]
 //                        [--max-queue=N] [--slow-threshold-us=N]
 //                        [--replicas=N] [--scrub-interval-ms=N]
@@ -23,7 +23,9 @@
 // default) picks an ephemeral port, printed as "serving on port N" for
 // scripts (tools/loadgen) to scrape. --rate/--burst set the default
 // per-tenant admission budget (requests/second and bucket size; 0 =
-// unlimited); --slow-threshold-us sets the slow-query-log bar.
+// unlimited); --slow-threshold-us sets the slow-query-log bar. --loops=N
+// sets the event-loop threads (default 2): each answers the requests of
+// the connections it accepted, --batch=N per SearchBatch call.
 // --replicas=N loads N byte-identical copies of the index behind a
 // ReplicaSet (model/replica_set.h): reads fail over transparently and a
 // killed copy is rebuilt online from a peer snapshot.
@@ -380,8 +382,8 @@ int CmdServe(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (std::strncmp(argv[i], "--port=", 7) == 0) {
       sopts.port = static_cast<uint16_t>(std::atoi(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      sopts.worker_threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
+    } else if (std::strncmp(argv[i], "--loops=", 8) == 0) {
+      sopts.loop_threads = static_cast<uint32_t>(std::atoi(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       sopts.batch_max = static_cast<uint32_t>(std::atoi(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--rate=", 7) == 0) {

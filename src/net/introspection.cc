@@ -64,7 +64,7 @@ std::string StatuszJson(const ServerStatus& s) {
      << "\", \"protocol_version\": " << s.protocol_version << "},\n"
      << "  \"uptime_s\": " << s.uptime_s << ",\n"
      << "  \"config\": {\"shards\": " << s.shards
-     << ", \"worker_threads\": " << s.worker_threads
+     << ", \"loop_threads\": " << s.loop_threads
      << ", \"batch_max\": " << s.batch_max
      << ", \"max_queue\": " << s.max_queue
      << ", \"max_connections\": " << s.max_connections

@@ -31,7 +31,7 @@ struct ServerStatus {
   uint32_t protocol_version = 0;
 
   uint32_t shards = 0;
-  uint32_t worker_threads = 0;
+  uint32_t loop_threads = 0;
   uint32_t batch_max = 0;
   uint64_t max_queue = 0;
   uint64_t max_connections = 0;

@@ -93,7 +93,7 @@ void ResultCache::Insert(const std::string& key, uint64_t generation,
   std::lock_guard<std::mutex> lock(s.mutex);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
-    // Keep exactly one entry per key (racing workers, or a stale entry
+    // Keep exactly one entry per key (racing loops, or a stale entry
     // another generation left behind).
     EraseEntry(s, it->second);
     evictions_metric_->Increment(1);

@@ -4,13 +4,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "net/introspection.h"
@@ -22,11 +23,9 @@ namespace net {
 
 namespace {
 
-/// epoll user-data tags for the two non-connection descriptors;
-/// connection ids start above them.
+/// epoll user-data tag of the listener; connection ids start above it.
 constexpr uint64_t kListenerTag = 0;
-constexpr uint64_t kWakeTag = 1;
-constexpr uint64_t kFirstConnId = 2;
+constexpr uint64_t kFirstConnId = 1;
 
 constexpr size_t kReadChunk = 4096;
 /// An HTTP request line + headers larger than this is not /metrics.
@@ -76,8 +75,9 @@ std::string HexEncode(const std::string& bytes) {
 
 }  // namespace
 
-/// Loop-thread-only per-connection state.
+/// Per-connection state, touched only by the thread of its loop.
 struct Server::Connection {
+  Loop* loop = nullptr;
   uint64_t id = 0;
   int fd = -1;
   /// Unconsumed inbound bytes (partial frames accumulate here).
@@ -92,6 +92,23 @@ struct Server::Connection {
   bool close_after_flush = false;
   /// Whether EPOLLOUT is currently armed.
   bool want_write = false;
+};
+
+/// One event loop: its epoll set, the connections it accepted, and the
+/// requests it admitted in the current wake-up. Touched only by `thread`.
+struct Server::Loop {
+  int epoll_fd = -1;
+  /// Connection table (id -> connection); ids are per loop and start
+  /// above the listener's epoll tag.
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
+  uint64_t next_conn_id = kFirstConnId;
+  /// Admitted requests of this wake-up, answered after the reads.
+  std::vector<WorkItem> pending;
+  /// Per-batch scratch, reused across wake-ups.
+  std::vector<ShardedIndex::BatchItem> items;
+  std::vector<obs::QueryTrace> traces;
+  /// Declared last: it runs RunLoop over the members above.
+  std::thread thread;
 };
 
 Server::Server(ShardedIndex* index, ServerOptions options)
@@ -111,7 +128,7 @@ Server::Server(ShardedIndex* index, ServerOptions options)
   connections_gauge_ =
       reg.GetGauge("i3_net_connections", "Open client connections.");
   queue_depth_gauge_ = reg.GetGauge(
-      "i3_net_queue_depth", "Admitted requests waiting for a worker.");
+      "i3_net_queue_depth", "Admitted requests not yet answered.");
   shed_metric_ = reg.GetCounter(
       "i3_requests_shed_total",
       "Requests rejected by admission control (token bucket or queue "
@@ -150,8 +167,8 @@ Server::~Server() { Stop(); }
 Status Server::Start() {
   if (running_.load()) return Status::InvalidArgument("already running");
   if (index_ == nullptr) return Status::InvalidArgument("null index");
-  if (options_.worker_threads == 0) {
-    return Status::InvalidArgument("worker_threads must be >= 1");
+  if (options_.loop_threads == 0) {
+    return Status::InvalidArgument("loop_threads must be >= 1");
   }
   if (options_.batch_max == 0) {
     return Status::InvalidArgument("batch_max must be >= 1");
@@ -188,26 +205,29 @@ Status Server::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    Stop();
-    return Status::IOError("epoll/eventfd setup failed");
+  // The listener sits in every loop's epoll set; EPOLLEXCLUSIVE wakes one
+  // loop (or a few) per incoming connection instead of all of them, and
+  // whichever loop accepts a connection owns it for its lifetime.
+  for (uint32_t i = 0; i < options_.loop_threads; ++i) {
+    auto loop = std::make_unique<Loop>();
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLEXCLUSIVE;
+    ev.data.u64 = kListenerTag;
+    const int epoll_fd = loop->epoll_fd;
+    loops_.push_back(std::move(loop));
+    if (epoll_fd < 0 ||
+        ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+      Stop();
+      return Status::IOError("epoll setup failed");
+    }
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   stopping_.store(false);
   start_ns_ = obs::NowNanos();
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { RunLoop(); });
-  workers_.reserve(options_.worker_threads);
-  for (uint32_t i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { RunWorker(); });
+  for (auto& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { RunLoop(l); });
   }
   return Status::OK();
 }
@@ -217,42 +237,33 @@ void Server::Stop() {
     // Final pull-model refresh: an embedding process that snapshots the
     // registry after Stop() still sees current SLO windows.
     slo_.ExportMetrics(obs::NowNanos());
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      // Wake every worker so they observe stopping_.
-    }
-    queue_cv_.notify_all();
-    if (wake_fd_ >= 0) {
-      const uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-    }
+    // Wake every loop: a shut-down listener reports EPOLLHUP to each
+    // epoll set it sits in, EPOLLEXCLUSIVE ones included. A loop inside
+    // a SearchBatch call sees stopping_ when the call returns.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  workers_.clear();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop closed every connection on exit; tear down the listener and
-  // loop descriptors here so a failed Start() can also call Stop().
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
-    if (*fd >= 0) {
-      ::close(*fd);
-      *fd = -1;
-    }
+  // Each loop closed its connections on exit; tear down the loop and
+  // listener descriptors here so a failed Start() can also call Stop().
+  for (auto& loop : loops_) {
+    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.clear();
+  loops_.clear();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
-  queue_depth_gauge_->Set(0);
   running_.store(false, std::memory_order_release);
 }
 
-void Server::RunLoop() {
+void Server::RunLoop(Loop* loop) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, /*timeout=*/100);
+    const int n =
+        ::epoll_wait(loop->epoll_fd, events, kMaxEvents, /*timeout=*/100);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -260,18 +271,12 @@ void Server::RunLoop() {
     for (int i = 0; i < n; ++i) {
       const uint64_t tag = events[i].data.u64;
       if (tag == kListenerTag) {
-        AcceptAll();
+        // EPOLLHUP here is Stop() shutting the listener down.
+        if (!(events[i].events & (EPOLLHUP | EPOLLERR))) AcceptAll(loop);
         continue;
       }
-      if (tag == kWakeTag) {
-        uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-        }
-        DrainOutbox();
-        continue;
-      }
-      auto it = conns_.find(tag);
-      if (it == conns_.end()) continue;
+      auto it = loop->conns.find(tag);
+      if (it == loop->conns.end()) continue;
       Connection* conn = it->second.get();
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
         CloseConnection(conn);
@@ -279,42 +284,46 @@ void Server::RunLoop() {
       }
       if (events[i].events & EPOLLIN) {
         HandleReadable(conn);
-        if (conns_.find(tag) == conns_.end()) continue;  // closed above
+        if (loop->conns.find(tag) == loop->conns.end()) continue;  // closed
       }
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
+      if (events[i].events & EPOLLOUT) FlushWrites(conn);
     }
-    // Responses may have been posted while epoll_wait slept between
-    // eventfd notifications; drain opportunistically.
-    DrainOutbox();
+    // Run to completion: everything this wake-up admitted is answered
+    // here, on the thread that read it.
+    AnswerPending(loop);
   }
-  // Shutdown: close every connection (pending responses are dropped; the
-  // peers see a clean close).
+  // Shutdown: close every connection (the peers see a clean close).
   std::vector<Connection*> open;
-  open.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) open.push_back(conn.get());
+  open.reserve(loop->conns.size());
+  for (auto& [id, conn] : loop->conns) open.push_back(conn.get());
   for (Connection* conn : open) CloseConnection(conn);
 }
 
-void Server::AcceptAll() {
+void Server::AcceptAll(Loop* loop) {
   while (true) {
+    // Another loop woken for the same connection may have taken it:
+    // EAGAIN then simply ends this round.
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
-    if (conns_.size() >= options_.max_connections) {
+    if (open_connections_.fetch_add(1, std::memory_order_relaxed) >=
+        options_.max_connections) {
+      open_connections_.fetch_sub(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
-    conn->id = next_conn_id_++;
+    conn->loop = loop;
+    conn->id = loop->next_conn_id++;
     conn->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev);
     connections_gauge_->Add(1);
-    conns_.emplace(conn->id, std::move(conn));
+    loop->conns.emplace(conn->id, std::move(conn));
   }
 }
 
@@ -355,8 +364,6 @@ void Server::HandleReadable(Connection* conn) {
   if (!keep) conn->close_after_flush = true;
   FlushWrites(conn);
 }
-
-void Server::HandleWritable(Connection* conn) { FlushWrites(conn); }
 
 bool Server::ConsumeFrames(Connection* conn) {
   size_t consumed = 0;
@@ -421,8 +428,8 @@ void Server::DispatchRequest(Connection* conn, Request req,
     const uint64_t admit_done_ns = traced ? obs::NowNanos() : 0;
     // Result-cache probe, after admission (a cached answer still spends
     // tenant tokens -- the cache must not turn one tenant's hot query
-    // into free capacity) but before the queue: a hit is answered right
-    // here on the loop thread and never touches a worker or the index.
+    // into free capacity) but before the batch: a hit is answered right
+    // here and never touches the index.
     std::string cache_key;
     if (result_cache_.enabled()) {
       if (req.no_cache) {
@@ -456,10 +463,12 @@ void Server::DispatchRequest(Connection* conn, Request req,
         }
       }
     }
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() >= options_.max_queue) {
+    if (unanswered_.fetch_add(1, std::memory_order_relaxed) >=
+        options_.max_queue) {
+      unanswered_.fetch_sub(1, std::memory_order_relaxed);
       shed_reason = "server overloaded (queue full)";
     } else {
+      queue_depth_gauge_->Add(1);
       WorkItem item;
       item.conn_id = conn->id;
       item.request_id = req.request_id;
@@ -472,14 +481,13 @@ void Server::DispatchRequest(Connection* conn, Request req,
       item.item.query = req.ToQuery();
       if (req.deadline_ms > 0) {
         // Propagate the wire deadline: anchor the absolute budget now so
-        // queue wait is charged against it.
+        // the wait for the batch is charged against it.
         item.item.query.control =
             QueryControl::AfterMicros(uint64_t{req.deadline_ms} * 1000);
       }
       item.item.alpha = req.alpha;
       item.request = std::move(req);
-      queue_.push_back(std::move(item));
-      queue_depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
+      conn->loop->pending.push_back(std::move(item));
     }
   }
   if (shed_reason != nullptr) {
@@ -506,9 +514,7 @@ void Server::DispatchRequest(Connection* conn, Request req,
     MaybeLogSlow(req, ResponseOutcome::kShed, trace_id, arrival_ns,
                  done_ns, /*search_ns=*/0, done_ns,
                  traced ? &shed_trace : nullptr);
-    return;
   }
-  queue_cv_.notify_one();
 }
 
 bool Server::ConsumeHttp(Connection* conn) {
@@ -545,7 +551,7 @@ bool Server::ConsumeHttp(Connection* conn) {
 #endif
     s.protocol_version = kProtocolVersion;
     s.shards = index_->num_shards();
-    s.worker_threads = options_.worker_threads;
+    s.loop_threads = options_.loop_threads;
     s.batch_max = options_.batch_max;
     s.max_queue = options_.max_queue;
     s.max_connections = options_.max_connections;
@@ -554,11 +560,11 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.slo_window_seconds = slo_.window_seconds();
     s.uptime_s = uptime_s;
     s.documents = index_->DocumentCount();
-    s.open_connections = conns_.size();  // loop thread owns conns_
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      s.queue_depth = static_cast<int64_t>(queue_.size());
-    }
+    // Counters shared by every loop; the loops' connection tables stay
+    // their own.
+    s.open_connections = open_connections_.load(std::memory_order_relaxed);
+    s.queue_depth = static_cast<int64_t>(
+        unanswered_.load(std::memory_order_relaxed));
     s.requests_ok = requests_ok();
     s.requests_shed = requests_shed();
     s.requests_error = requests_error();
@@ -597,33 +603,6 @@ void Server::QueueResponse(Connection* conn, const Response& resp) {
   EncodeResponse(resp, &conn->write_buf);
 }
 
-void Server::PostResponse(uint64_t conn_id, const Response& resp) {
-  Outbound out;
-  out.conn_id = conn_id;
-  EncodeResponse(resp, &out.bytes);
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    outbox_.push_back(std::move(out));
-  }
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void Server::DrainOutbox() {
-  std::vector<Outbound> batch;
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    batch.swap(outbox_);
-  }
-  for (Outbound& out : batch) {
-    auto it = conns_.find(out.conn_id);
-    if (it == conns_.end()) continue;  // client left; drop the response
-    Connection* conn = it->second.get();
-    conn->write_buf += out.bytes;
-    FlushWrites(conn);
-  }
-}
-
 void Server::FlushWrites(Connection* conn) {
   while (conn->write_pos < conn->write_buf.size()) {
     const ssize_t n =
@@ -657,14 +636,15 @@ void Server::UpdateEpoll(Connection* conn) {
   epoll_event ev{};
   ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
   ev.data.u64 = conn->id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  ::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
 void Server::CloseConnection(Connection* conn) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   connections_gauge_->Sub(1);
-  conns_.erase(conn->id);  // frees conn
+  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  conn->loop->conns.erase(conn->id);  // frees conn
 }
 
 void Server::RecordOutcome(ResponseOutcome outcome, bool degraded,
@@ -748,108 +728,118 @@ void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
   slow_log_.Record(std::move(rec));
 }
 
-void Server::RunWorker() {
-  std::vector<WorkItem> taken;
-  std::vector<ShardedIndex::BatchItem> items;
-  std::vector<obs::QueryTrace> traces;
-  while (true) {
-    taken.clear();
-    items.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !queue_.empty();
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      const size_t take = std::min<size_t>(options_.batch_max, queue_.size());
-      for (size_t i = 0; i < take; ++i) {
-        taken.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queue_depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
-      if (!queue_.empty()) queue_cv_.notify_one();
+void Server::ReleaseAdmitted(size_t n) {
+  unanswered_.fetch_sub(n, std::memory_order_relaxed);
+  queue_depth_gauge_->Sub(static_cast<int64_t>(n));
+}
+
+void Server::AnswerPending(Loop* loop) {
+  std::vector<WorkItem>& pending = loop->pending;
+  size_t done = 0;
+  while (done < pending.size() && !stopping_.load(std::memory_order_acquire)) {
+    const size_t n =
+        std::min<size_t>(options_.batch_max, pending.size() - done);
+    AnswerBatch(loop, pending.data() + done, n);
+    ReleaseAdmitted(n);
+    // Flush once per connection per batch; FlushWrites may close and
+    // free a connection, so each one is looked up again by id.
+    for (size_t i = done; i < done + n; ++i) {
+      auto it = loop->conns.find(pending[i].conn_id);
+      if (it == loop->conns.end()) continue;
+      Connection* conn = it->second.get();
+      if (conn->write_pos < conn->write_buf.size()) FlushWrites(conn);
     }
-    const uint64_t dequeue_ns = obs::NowNanos();
-    batch_size_->Record(taken.size());
-    items.reserve(taken.size());
-    // The traces vector is sized once per batch BEFORE any pointer is
-    // taken; it must not grow while items reference its elements.
-    traces.assign(taken.size(), obs::QueryTrace());
-    for (size_t i = 0; i < taken.size(); ++i) {
-      const WorkItem& w = taken[i];
-      items.push_back(w.item);
-      if (!w.traced) continue;
+    done += n;
+  }
+  // Stop() is under way: the requests not started are dropped.
+  if (done < pending.size()) ReleaseAdmitted(pending.size() - done);
+  pending.clear();
+}
+
+void Server::AnswerBatch(Loop* loop, WorkItem* batch, size_t n) {
+  const uint64_t batch_start_ns = obs::NowNanos();
+  batch_size_->Record(n);
+  std::vector<ShardedIndex::BatchItem>& items = loop->items;
+  std::vector<obs::QueryTrace>& traces = loop->traces;
+  items.clear();
+  // The traces vector is sized once per batch BEFORE any pointer is
+  // taken; it must not grow while items reference its elements.
+  traces.assign(n, obs::QueryTrace());
+  for (size_t i = 0; i < n; ++i) {
+    WorkItem& w = batch[i];
+    items.push_back(std::move(w.item));
+    if (!w.traced) continue;
+    obs::QueryTrace& t = traces[i];
+    t.label = "serve";
+    t.start_ns = w.arrival_ns;
+    t.AddStage("admission", w.admitted_ns - w.arrival_ns);
+    t.AddStage("queue_wait", batch_start_ns - w.admitted_ns);
+    t.Annotate("batch_size", n);
+    // Request-scoped trace: the index layers accumulate their stages
+    // (shard sweeps, descent, cell-cache hits) into this object.
+    items[i].query.control.trace = &t;
+    items[i].query.control.trace_id = w.trace_id;
+  }
+  // Capture the generation BEFORE the search: a mutation completing
+  // mid-search bumps the counter past this value, so the entry we tag
+  // with it can never be served after that mutation (Lookup requires
+  // an exact match against the current generation).
+  const uint64_t generation = index_->generation();
+  auto results = index_->SearchBatch(items);
+  for (size_t i = 0; i < n; ++i) {
+    const WorkItem& w = batch[i];
+    auto& r = results[i];
+    Response resp;
+    resp.request_id = w.request_id;
+    if (r.status.ok() && r.degraded && w.request.require_complete) {
+      // All-or-nothing: the client said a partial top-k is worse than
+      // failing, so surface the failing shard's own error instead.
+      Status refusal(r.first_error.ok() ? StatusCode::kResourceExhausted
+                                        : r.first_error.code(),
+                     "incomplete result (require_complete): " +
+                         r.first_error.message());
+      resp = ErrorResponse(w.request_id, refusal);
+    } else if (r.status.ok()) {
+      resp.outcome = ResponseOutcome::kOk;
+      resp.degraded = r.degraded;
+      resp.results = std::move(r.results);
+      // Only complete answers are cacheable: a degraded top-k is
+      // missing failed shards' documents and must not outlive the
+      // failure.
+      if (!resp.degraded && !w.cache_key.empty()) {
+        result_cache_.Insert(w.cache_key, generation, resp.results);
+      }
+    } else {
+      resp = ErrorResponse(w.request_id, r.status);
+    }
+    const bool deadline_miss = resp.outcome == ResponseOutcome::kError &&
+                               resp.code == StatusCode::kDeadlineExceeded;
+    if (w.traced) {
       obs::QueryTrace& t = traces[i];
-      t.label = "serve";
-      t.start_ns = w.arrival_ns;
-      t.AddStage("admission", w.admitted_ns - w.arrival_ns);
-      t.AddStage("queue_wait", dequeue_ns - w.admitted_ns);
-      t.Annotate("batch_size", taken.size());
-      // Request-scoped trace: the index layers accumulate their stages
-      // (shard sweeps, descent, cell-cache hits) into this object.
-      items[i].query.control.trace = &t;
-      items[i].query.control.trace_id = w.trace_id;
+      // Time the encode against a scratch buffer first -- the real
+      // encode must carry the trace, and the trace must contain the
+      // encode stage. The double encode is traced-path-only cost, and
+      // it keeps the result bytes identical to the untraced twin
+      // (asserted by the differential test).
+      std::string scratch;
+      const uint64_t encode_start_ns = obs::NowNanos();
+      EncodeResponse(resp, &scratch);
+      t.AddStage("encode", obs::NowNanos() - encode_start_ns);
+      t.Annotate("results", resp.results.size());
+      t.total_ns = obs::NowNanos() - w.arrival_ns;
+      resp.has_trace = true;
+      resp.trace = BuildWireTrace(w.trace_id, t.total_ns, t);
     }
-    // Capture the generation BEFORE the search: a mutation completing
-    // mid-search bumps the counter past this value, so the entry we tag
-    // with it can never be served after that mutation (Lookup requires
-    // an exact match against the current generation).
-    const uint64_t generation = index_->generation();
-    const auto results = index_->SearchBatch(items);
-    for (size_t i = 0; i < taken.size(); ++i) {
-      const auto& r = results[i];
-      Response resp;
-      resp.request_id = taken[i].request_id;
-      if (r.status.ok() && r.degraded &&
-          taken[i].request.require_complete) {
-        // All-or-nothing: the client said a partial top-k is worse than
-        // failing, so surface the failing shard's own error instead.
-        Status refusal(r.first_error.ok() ? StatusCode::kResourceExhausted
-                                          : r.first_error.code(),
-                       "incomplete result (require_complete): " +
-                           r.first_error.message());
-        resp = ErrorResponse(taken[i].request_id, refusal);
-      } else if (r.status.ok()) {
-        resp.outcome = ResponseOutcome::kOk;
-        resp.degraded = r.degraded;
-        resp.results = r.results;
-        // Only complete answers are cacheable: a degraded top-k is
-        // missing failed shards' documents and must not outlive the
-        // failure.
-        if (!resp.degraded && !taken[i].cache_key.empty()) {
-          result_cache_.Insert(taken[i].cache_key, generation,
-                               resp.results);
-        }
-      } else {
-        resp = ErrorResponse(taken[i].request_id, r.status);
-      }
-      const bool deadline_miss =
-          resp.outcome == ResponseOutcome::kError &&
-          resp.code == StatusCode::kDeadlineExceeded;
-      if (taken[i].traced) {
-        obs::QueryTrace& t = traces[i];
-        // Time the encode against a scratch buffer first -- the real
-        // encode must carry the trace, and the trace must contain the
-        // encode stage. The double encode is traced-path-only cost, and
-        // it keeps the result bytes identical to the untraced twin
-        // (asserted by the differential test).
-        std::string scratch;
-        const uint64_t encode_start_ns = obs::NowNanos();
-        EncodeResponse(resp, &scratch);
-        t.AddStage("encode", obs::NowNanos() - encode_start_ns);
-        t.Annotate("results", resp.results.size());
-        t.total_ns = obs::NowNanos() - taken[i].arrival_ns;
-        resp.has_trace = true;
-        resp.trace = BuildWireTrace(taken[i].trace_id, t.total_ns, t);
-      }
-      const uint64_t done_ns = obs::NowNanos();
-      RecordOutcome(resp.outcome, resp.degraded, deadline_miss,
-                    taken[i].tenant, taken[i].arrival_ns);
-      MaybeLogSlow(taken[i].request, resp.outcome, taken[i].trace_id,
-                   taken[i].arrival_ns, taken[i].admitted_ns, r.search_ns,
-                   done_ns, taken[i].traced ? &traces[i] : nullptr);
-      PostResponse(taken[i].conn_id, resp);
-    }
+    const uint64_t done_ns = obs::NowNanos();
+    RecordOutcome(resp.outcome, resp.degraded, deadline_miss, w.tenant,
+                  w.arrival_ns);
+    MaybeLogSlow(w.request, resp.outcome, w.trace_id, w.arrival_ns,
+                 w.admitted_ns, r.search_ns, done_ns,
+                 w.traced ? &traces[i] : nullptr);
+    // The client may have left while its request waited; its answer is
+    // dropped.
+    auto it = loop->conns.find(w.conn_id);
+    if (it != loop->conns.end()) QueueResponse(it->second.get(), resp);
   }
 }
 

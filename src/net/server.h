@@ -4,29 +4,34 @@
 //
 // Architecture (DESIGN.md §12):
 //
-//   accept/read/write ──> [event-loop thread] ──decode──> admission
-//        ▲                                                 │
-//        │  eventfd                                 shed?──┴──> queue
-//        │                                                       │
-//   [outbox] <──encode── [worker threads] <──batch (SearchBatch)─┘
+//   listener (EPOLLEXCLUSIVE in every loop's epoll set)
+//        │ accept: the loop that accepts a connection owns it
+//        ▼
+//   [event loop 1..loop_threads], each wake-up, on one thread:
+//     read ──> decode ──> admission ──> result-cache probe ──┬─ hit/shed ─┐
+//                                                            │            │
+//             SearchBatch (<= batch_max per call) <── admitted            │
+//                  │                                                      │
+//                  └──encode──> connection write buffer <─────────────────┘
 //
-//  - One event-loop thread owns the listener, every connection, and all
-//    epoll state; no connection structure is ever touched off-loop, so
-//    the I/O plane needs no locks.
+//  - Each loop thread owns its epoll set and its connections; no
+//    connection structure is ever touched by another thread, so the I/O
+//    plane needs no locks.
 //  - Parsed requests pass admission control (per-tenant token buckets +
-//    a global queue-depth bound) on the loop thread. Rejected requests
-//    get an immediate "shed" response that never waits behind index
-//    work -- the fast path a saturating tenant cannot congest.
-//  - Admitted requests are queued; worker threads drain them in batches
-//    of up to `batch_max` and answer each batch with one
+//    a global bound on admitted-but-unanswered requests) on the loop
+//    that read them. Rejected requests get an immediate "shed" response
+//    that never waits behind index work -- the fast path a saturating
+//    tenant cannot congest.
+//  - After reading everything one epoll wake-up delivered, the loop
+//    answers the admitted requests itself, up to `batch_max` per
 //    ShardedIndex::SearchBatch call (per-item alpha and degraded
-//    outcome). Encoded responses go to the outbox; an eventfd wakes the
-//    loop to write them out, with partial writes buffered under
-//    EPOLLOUT.
+//    outcome), and encodes each response straight into its connection's
+//    write buffer: a request is answered on the thread that read it.
+//    Partial writes are buffered under EPOLLOUT.
 //  - Deadlines propagate from the wire: a request's relative
 //    `deadline_ms` becomes an absolute QueryControl deadline at
-//    admission, so queue wait counts against the budget and an overrun
-//    degrades or fails exactly like a library-level deadline.
+//    admission, so the wait for the batch counts against the budget and
+//    an overrun degrades or fails exactly like a library-level deadline.
 //  - A connection whose first bytes are an HTTP request line is served
 //    as a one-shot HTTP client: `GET /metrics` returns the process
 //    metrics registry in Prometheus text format, and /statusz, /tracez,
@@ -49,14 +54,9 @@
 #define I3_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -77,25 +77,27 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (see Server::port()).
   uint16_t port = 0;
-  /// Search worker threads draining the request queue.
-  uint32_t worker_threads = 2;
-  /// Requests a worker answers with one SearchBatch call. Larger batches
-  /// amortize wakeups under load; a batch never waits for fill -- a
-  /// worker takes whatever is queued, up to this cap.
+  /// Event-loop threads. Each owns an epoll set and the connections it
+  /// accepted, and answers every request it reads on its own thread.
+  uint32_t loop_threads = 2;
+  /// Requests a loop answers with one SearchBatch call. A batch never
+  /// waits for fill -- a loop answers what one wake-up read, in calls of
+  /// up to this many requests.
   uint32_t batch_max = 16;
   /// Default per-tenant admission limit (rate <= 0 = unlimited).
   TenantLimit default_limit;
   /// Per-tenant overrides.
   std::vector<std::pair<uint32_t, TenantLimit>> tenant_limits;
-  /// Admitted-but-unserved requests the queue may hold before the server
-  /// sheds regardless of tenant budgets (overload backstop). 0 sheds
-  /// every search request -- useful to tests, not to production.
+  /// Admitted-but-unanswered requests, counted across all loops, beyond
+  /// which the server sheds regardless of tenant budgets (overload
+  /// backstop). 0 sheds every search request -- useful to tests, not to
+  /// production.
   size_t max_queue = 4096;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
   /// Whole-query result cache entries (net/result_cache.h); 0 disables.
-  /// Hits are answered on the loop thread after admission, so cached
-  /// requests still spend tenant tokens but skip the queue and the index.
+  /// Hits are answered right after admission, so cached requests still
+  /// spend tenant tokens but skip the batch and the index.
   size_t result_cache_entries = 4096;
   /// Slow-query log (obs/slow_log.h): requests finishing at or over this
   /// latency are captured with their span timeline and canonical request
@@ -109,8 +111,8 @@ struct ServerOptions {
   uint32_t slo_max_tenants = 16;
 };
 
-/// \brief The serving front end. Start() binds and spawns the event loop
-/// and workers; Stop() (or destruction) shuts everything down. Searches
+/// \brief The serving front end. Start() binds and spawns the event
+/// loops; Stop() (or destruction) shuts everything down. Searches
 /// run against the caller-owned index, which must outlive the server.
 class Server {
  public:
@@ -125,8 +127,9 @@ class Server {
   Status Start();
 
   /// \brief Stops accepting, closes every connection, joins all
-  /// threads. Idempotent. Queued-but-unanswered requests are dropped
-  /// (their connections are closing anyway).
+  /// threads. Idempotent. Each loop finishes the SearchBatch call it is
+  /// in; requests it admitted but has not started are dropped (their
+  /// connections are closing anyway).
   void Stop();
 
   /// The bound port (after Start(); with options.port == 0 this is the
@@ -148,14 +151,16 @@ class Server {
 
  private:
   struct Connection;
+  struct Loop;
 
-  /// One admitted request travelling loop -> worker.
+  /// One admitted request, answered later in the same wake-up by the loop
+  /// that read it.
   struct WorkItem {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
     uint64_t arrival_ns = 0;
-    /// When admission + cache probe finished and the request entered the
-    /// queue (the worker charges queue wait against this).
+    /// When admission + cache probe finished (the batch charges queue
+    /// wait against this).
     uint64_t admitted_ns = 0;
     /// Wire trace flag and the server-stamped id (0 when untraced).
     uint64_t trace_id = 0;
@@ -171,32 +176,30 @@ class Server {
     ShardedIndex::BatchItem item;
   };
 
-  /// One encoded response travelling worker -> loop.
-  struct Outbound {
-    uint64_t conn_id = 0;
-    std::string bytes;
-  };
+  void RunLoop(Loop* loop);
 
-  void RunLoop();
-  void RunWorker();
-
-  void AcceptAll();
+  void AcceptAll(Loop* loop);
   void HandleReadable(Connection* conn);
-  void HandleWritable(Connection* conn);
   /// Consumes complete frames from conn's read buffer; returns false if
   /// the connection must close (protocol violation).
   bool ConsumeFrames(Connection* conn);
-  /// Dispatches one decoded request: ping, shed, or enqueue for workers.
+  /// Dispatches one decoded request: ping, shed, cache hit, or admit to
+  /// the loop's pending batch.
   void DispatchRequest(Connection* conn, Request req, uint64_t arrival_ns);
   /// Serves the HTTP side channel; returns false to close.
   bool ConsumeHttp(Connection* conn);
 
-  /// Appends an encoded response to conn's write buffer (loop thread);
-  /// the caller flushes once it is done touching conn.
+  /// Answers the loop's admitted requests, batch_max per SearchBatch
+  /// call, and flushes the answered connections. Once Stop() is under
+  /// way, requests of batches not yet started are dropped.
+  void AnswerPending(Loop* loop);
+  void AnswerBatch(Loop* loop, WorkItem* batch, size_t n);
+  /// Returns n admitted requests' slots to the max_queue budget.
+  void ReleaseAdmitted(size_t n);
+
+  /// Appends an encoded response to conn's write buffer; the caller
+  /// flushes once it is done touching conn.
   void QueueResponse(Connection* conn, const Response& resp);
-  /// Worker-side: encode + hand to the outbox, wake the loop.
-  void PostResponse(uint64_t conn_id, const Response& resp);
-  void DrainOutbox();
   void FlushWrites(Connection* conn);
   void CloseConnection(Connection* conn);
   void UpdateEpoll(Connection* conn);
@@ -226,8 +229,6 @@ class Server {
   obs::SloTracker slo_;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   uint16_t port_ = 0;
   /// Steady-clock Start() time (uptime on /statusz and /healthz).
   uint64_t start_ns_ = 0;
@@ -237,20 +238,13 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Loop>> loops_;
 
-  /// Loop-thread-only connection table (id -> connection). Ids start
-  /// above the reserved epoll tags (listener, wake eventfd).
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  uint64_t next_conn_id_ = 2;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<WorkItem> queue_;
-
-  std::mutex outbox_mutex_;
-  std::vector<Outbound> outbox_;
+  /// Open connections across all loops (max_connections, /statusz).
+  std::atomic<size_t> open_connections_{0};
+  /// Admitted-but-unanswered requests across all loops (max_queue,
+  /// /statusz queue_depth).
+  std::atomic<size_t> unanswered_{0};
 
   std::atomic<uint64_t> ok_count_{0};
   std::atomic<uint64_t> shed_count_{0};

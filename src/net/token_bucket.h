@@ -12,9 +12,9 @@
 // the policy deterministic under test: the admission tests drive a bucket
 // through an explicit timeline instead of sleeping.
 //
-// Thread model: the server consults the limiter from its single event-loop
-// thread, but the limiter locks anyway -- it is also scraped by tests and
-// must stay safe if the loop is ever sharded across threads.
+// Thread model: every event-loop thread of the server consults the one
+// limiter (a tenant's connections may land on different loops), so it
+// locks.
 
 #ifndef I3_NET_TOKEN_BUCKET_H_
 #define I3_NET_TOKEN_BUCKET_H_

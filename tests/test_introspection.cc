@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -542,7 +543,7 @@ TEST_F(IntrospectionTest, SlowLogCapturesUnderConcurrentLoad) {
   opts.slow_threshold_us = 0;  // capture everything
   opts.slow_log_ring = 16;
   opts.slow_log_top = 4;
-  opts.worker_threads = 3;
+  opts.loop_threads = 3;
   StartServer(opts);
   const CorpusOptions copt = ServingCorpus();
   constexpr int kClients = 4;
@@ -632,22 +633,54 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
   StartServer();
   const CorpusOptions copt = ServingCorpus();
 
+  // The traffic thread counts completed requests per tenant; the HTTP
+  // rounds start only once every tenant has been served, so /statusz
+  // below always has each tenant's SLO window to show.
+  constexpr uint32_t kTenants = 3;
   std::atomic<bool> stop{false};
+  std::atomic<bool> traffic_failed{false};
+  std::atomic<uint64_t> served[kTenants] = {};
   std::thread traffic([&] {
     auto client = Connect();
-    if (!client.ok()) return;
+    if (!client.ok()) {
+      ADD_FAILURE() << "traffic connect: " << client.status().ToString();
+      traffic_failed.store(true);
+      return;
+    }
     const auto queries = MakeQueries(copt, 50, /*qn=*/2, /*k=*/10,
                                      Semantics::kOr, /*seed=*/151);
     uint64_t id = 0;
     while (!stop.load()) {
+      const uint32_t tenant = static_cast<uint32_t>(id % kTenants);
       Request req =
-          SearchRequest(queries[id % queries.size()], id, 0.5,
-                        /*tenant=*/static_cast<uint32_t>(id % 3));
+          SearchRequest(queries[id % queries.size()], id, 0.5, tenant);
       req.trace = id % 4 == 0;
-      if (!client.ValueOrDie()->Call(req).ok()) return;
+      auto resp = client.ValueOrDie()->Call(req);
+      if (!resp.ok()) {
+        ADD_FAILURE() << "traffic call: " << resp.status().ToString();
+        traffic_failed.store(true);
+        return;
+      }
+      served[tenant].fetch_add(1);
       ++id;
     }
   });
+  auto all_served = [&] {
+    for (const auto& n : served) {
+      if (n.load() == 0) return false;
+    }
+    return true;
+  };
+  const uint64_t wait_until_ns = obs::NowNanos() + 30'000'000'000ull;
+  while (!all_served() && !traffic_failed.load() &&
+         obs::NowNanos() < wait_until_ns) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!all_served()) {
+    stop.store(true);
+    traffic.join();
+    FAIL() << "traffic did not serve every tenant before the HTTP rounds";
+  }
 
   for (int round = 0; round < 3; ++round) {
     for (const char* path : {"/statusz", "/tracez", "/cachez", "/healthz"}) {
@@ -671,7 +704,8 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
        {"\"build\"", "\"config\"", "\"live\"", "\"slo\"",
         "\"window_seconds\"", "\"protocol_version\"", "\"documents\"",
         "\"requests_ok\"", "\"uptime_s\"", "\"replication\"",
-        "\"replicated_shards\""}) {
+        "\"replicated_shards\"", "\"loop_threads\": 2",
+        "\"open_connections\"", "\"queue_depth\""}) {
     EXPECT_NE(statusz.body.find(key), std::string::npos) << key;
   }
   EXPECT_NE(statusz.body.find("\"tenant\": 0"), std::string::npos)

@@ -7,7 +7,9 @@
 // error frame -- never a crash, a hang, or a torn connection caused by
 // index faults. After Heal() the server answers byte-identically (by
 // result checksum) to its own pre-fault baseline. Seed count follows
-// I3_CHAOS_SEEDS like the library-level chaos suite.
+// I3_CHAOS_SEEDS like the library-level chaos suite. Stop() with a slow
+// search in flight returns once that one search does, and every client
+// sees answers or a clean close.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "obs/clock.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
 
@@ -120,7 +123,7 @@ Result<std::unique_ptr<Client>> Connect(const Server& server) {
 TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
   ServingChaosRig rig;
   ServerOptions sopts;
-  sopts.worker_threads = 3;
+  sopts.loop_threads = 3;
   sopts.batch_max = 8;
   InitRig(&rig, /*corpus_seed=*/11, sopts);
   const CorpusOptions copt = ChaosCorpus();
@@ -406,6 +409,90 @@ TEST(NetChaosTest, WireDeadlinePropagatesUnderLatencyFaults) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp.ValueOrDie().outcome, ResponseOutcome::kOk);
   EXPECT_FALSE(resp.ValueOrDie().degraded);
+}
+
+// Stop() while a latency-faulted search is in flight: the loop finishes
+// the SearchBatch call it is in, drops the requests it admitted but has
+// not started, closes its connections and exits. Stop() returns after
+// about one search, not after the whole backlog, and each client sees
+// only well-formed answers followed by a clean close -- never a hang, a
+// torn frame or a reset.
+TEST(NetLoopTest, StopDuringInFlightSearchIsPrompt) {
+  ServingChaosRig rig;
+  ServerOptions sopts;
+  sopts.loop_threads = 1;
+  sopts.batch_max = 1;  // one search per SearchBatch call
+  InitRig(&rig, /*corpus_seed=*/51, sopts);
+  const CorpusOptions copt = ChaosCorpus();
+  constexpr size_t kPipelined = 8;
+  const auto queries = MakeQueries(copt, kPipelined, /*qn=*/2, /*k=*/10,
+                                   Semantics::kOr, /*seed=*/52);
+  std::vector<uint64_t> expected;
+  for (const Query& q : queries) {
+    auto direct = rig.index->Search(q, 0.5);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    expected.push_back(ResultChecksum(direct.ValueOrDie()));
+  }
+
+  // Every storage op now sleeps 5 ms, so each cold search takes many
+  // milliseconds and the pipelined backlog takes several times longer.
+  FaultProfile slow;
+  slow.latency_spike_rate = 1.0;
+  slow.latency_spike_us = 5000;
+  rig.ArmAll(slow, /*seed=*/1);
+  rig.index->ClearCache();
+
+  auto busy = Connect(*rig.server);
+  auto idle = Connect(*rig.server);
+  ASSERT_TRUE(busy.ok()) << busy.status().ToString();
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  ASSERT_TRUE(idle.ValueOrDie()->Ping().ok());  // accepted and served
+  std::string frames;
+  for (size_t i = 0; i < kPipelined; ++i) {
+    Request req = SearchRequest(queries[i], i);
+    req.no_cache = true;
+    EncodeRequest(req, &frames);
+  }
+  ASSERT_TRUE(busy.ValueOrDie()->SendBytes(frames.data(), frames.size()).ok());
+
+  // The first answer means the loop has moved on to the next search of
+  // the backlog; stop it there.
+  auto first = busy.ValueOrDie()->ReadResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const uint64_t stop_start_ns = obs::NowNanos();
+  rig.server->Stop();
+  const uint64_t stop_ms = (obs::NowNanos() - stop_start_ns) / 1000000;
+  EXPECT_LT(stop_ms, 10000u) << "Stop() waited out the backlog";
+
+  // What the busy client gets: the first answer, at most a few more (the
+  // search in flight when Stop() began), then a clean close.
+  std::vector<Response> answers = {first.MoveValue()};
+  Status end;
+  while (true) {
+    auto resp = busy.ValueOrDie()->ReadResponse();
+    if (!resp.ok()) {
+      end = resp.status();
+      break;
+    }
+    answers.push_back(resp.MoveValue());
+  }
+  EXPECT_EQ(end.code(), StatusCode::kIOError) << end.ToString();
+  EXPECT_NE(end.message().find("closed by server"), std::string::npos)
+      << end.ToString();
+  EXPECT_LT(answers.size(), kPipelined)
+      << "every queued search ran after Stop()";
+  for (const Response& r : answers) {
+    ASSERT_LT(r.request_id, kPipelined);
+    ASSERT_EQ(r.outcome, ResponseOutcome::kOk) << r.message;
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(ResultChecksum(r.results), expected[r.request_id])
+        << "request " << r.request_id;
+  }
+  auto idle_end = idle.ValueOrDie()->ReadResponse();
+  ASSERT_FALSE(idle_end.ok());
+  EXPECT_NE(idle_end.status().message().find("closed by server"),
+            std::string::npos)
+      << idle_end.status().ToString();
 }
 
 }  // namespace

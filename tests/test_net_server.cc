@@ -3,8 +3,9 @@
 // order-sensitive checksum) to direct ShardedIndex::Search calls under a
 // seeded concurrent mixed workload; protocol-abuse scenarios (garbage,
 // oversized frames, slow dribbling writers, pipelining); the HTTP metrics
-// side channel; and the admission-control contract -- a saturating tenant
-// is shed fast with bounded latency while other tenants are unaffected.
+// side channel; the admission-control contract -- a saturating tenant
+// is shed fast with bounded latency while other tenants are unaffected;
+// and the run-to-completion loops' batching of a pipelined burst.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "net/server.h"
 #include "net/token_bucket.h"
 #include "obs/clock.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace i3 {
@@ -76,8 +78,10 @@ Request SearchRequest(const Query& q, uint64_t id, double alpha,
 
 class NetServerTest : public ::testing::Test {
  protected:
+  /// Starts a server (replacing any running one) over the shared index,
+  /// built on first use.
   void StartServer(ServerOptions opts = {}) {
-    index_ = MakeIndex(ServingCorpus(), /*seed=*/21);
+    if (index_ == nullptr) index_ = MakeIndex(ServingCorpus(), /*seed=*/21);
     server_ = std::make_unique<Server>(index_.get(), opts);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
@@ -137,15 +141,13 @@ TEST_F(NetServerTest, WireResultsMatchDirectSearch) {
 
 // N concurrent clients, pipelined batches, seeded mixed AND/OR workload:
 // every response matches its request id and the direct result checksum,
-// under whatever batching/reordering the server does internally.
+// under whatever batching/reordering the server does internally -- with
+// every connection on one loop, and spread over four.
 TEST_F(NetServerTest, ConcurrentClientsDifferential) {
-  ServerOptions sopts;
-  sopts.worker_threads = 3;
-  sopts.batch_max = 8;
-  StartServer(sopts);
   const CorpusOptions copt = ServingCorpus();
   constexpr int kClients = 6;
   constexpr int kPerClient = 40;
+  index_ = MakeIndex(copt, /*seed=*/21);
 
   // Precompute direct baselines (the index is concurrent-search safe, but
   // a fixed baseline keeps the comparison exact and race-free).
@@ -163,56 +165,64 @@ TEST_F(NetServerTest, ConcurrentClientsDifferential) {
     }
   }
 
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      ClientOptions copts;
-      copts.port = server_->port();
-      copts.recv_timeout_ms = 20000;
-      auto client = Client::Connect(copts);
-      if (!client.ok()) {
-        ++failures;
-        return;
-      }
-      // Pipeline in bursts of 4, then read the burst back. Responses on
-      // one connection may interleave across worker batches; match by id.
-      constexpr int kBurst = 4;
-      for (int base = 0; base < kPerClient; base += kBurst) {
-        for (int i = base; i < base + kBurst; ++i) {
-          const uint64_t id = uint64_t{static_cast<uint32_t>(c)} << 32 | i;
-          if (!client.ValueOrDie()
-                   ->Send(SearchRequest(workload[c][i], id, 0.5))
-                   .ok()) {
-            ++failures;
-            return;
+  for (const uint32_t loops : {1u, 4u}) {
+    SCOPED_TRACE("loop_threads " + std::to_string(loops));
+    ServerOptions sopts;
+    sopts.loop_threads = loops;
+    sopts.batch_max = 8;
+    StartServer(sopts);
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        ClientOptions copts;
+        copts.port = server_->port();
+        copts.recv_timeout_ms = 20000;
+        auto client = Client::Connect(copts);
+        if (!client.ok()) {
+          ++failures;
+          return;
+        }
+        // Pipeline in bursts of 4, then read the burst back. Responses on
+        // one connection may interleave across batches; match by id.
+        constexpr int kBurst = 4;
+        for (int base = 0; base < kPerClient; base += kBurst) {
+          for (int i = base; i < base + kBurst; ++i) {
+            const uint64_t id = uint64_t{static_cast<uint32_t>(c)} << 32 | i;
+            if (!client.ValueOrDie()
+                     ->Send(SearchRequest(workload[c][i], id, 0.5))
+                     .ok()) {
+              ++failures;
+              return;
+            }
+          }
+          for (int i = 0; i < kBurst; ++i) {
+            auto resp = client.ValueOrDie()->ReadResponse();
+            if (!resp.ok() ||
+                resp.ValueOrDie().outcome != ResponseOutcome::kOk) {
+              ++failures;
+              return;
+            }
+            const uint64_t id = resp.ValueOrDie().request_id;
+            const int qi = static_cast<int>(id & 0xffffffff);
+            const int qc = static_cast<int>(id >> 32);
+            if (qc != c || qi < base || qi >= base + kBurst ||
+                ResultChecksum(resp.ValueOrDie().results) !=
+                    baseline[qc][qi]) {
+              ++failures;
+              return;
+            }
           }
         }
-        for (int i = 0; i < kBurst; ++i) {
-          auto resp = client.ValueOrDie()->ReadResponse();
-          if (!resp.ok() ||
-              resp.ValueOrDie().outcome != ResponseOutcome::kOk) {
-            ++failures;
-            return;
-          }
-          const uint64_t id = resp.ValueOrDie().request_id;
-          const int qi = static_cast<int>(id & 0xffffffff);
-          const int qc = static_cast<int>(id >> 32);
-          if (qc != c || qi < base || qi >= base + kBurst ||
-              ResultChecksum(resp.ValueOrDie().results) !=
-                  baseline[qc][qi]) {
-            ++failures;
-            return;
-          }
-        }
-      }
-    });
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(server_->requests_ok(), uint64_t{kClients} * kPerClient);
+    EXPECT_EQ(server_->requests_error(), 0u);
+    EXPECT_EQ(server_->requests_shed(), 0u);
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server_->requests_ok(), uint64_t{kClients} * kPerClient);
-  EXPECT_EQ(server_->requests_error(), 0u);
-  EXPECT_EQ(server_->requests_shed(), 0u);
 }
 
 // A client dribbling one frame a few bytes at a time (slow writer /
@@ -349,7 +359,7 @@ TEST_F(NetServerTest, HttpMetricsSideChannel) {
 // index) while a second tenant's requests all succeed.
 TEST_F(NetServerTest, SaturatedTenantShedsFastAndIsolated) {
   ServerOptions opts;
-  opts.worker_threads = 2;
+  opts.loop_threads = 2;
   // Tenant 1 gets ~5 requests of budget; tenant 2 is unlimited.
   opts.tenant_limits.push_back({1, {.rate = 1.0, .burst = 5.0}});
   StartServer(opts);
@@ -435,6 +445,72 @@ TEST_F(NetServerTest, QueueBoundShedsWhenFull) {
   }
   EXPECT_TRUE(client.ValueOrDie()->Ping().ok());
   EXPECT_EQ(server_->requests_shed(), queries.size());
+}
+
+// Run to completion: a pipelined burst that arrives in one read is
+// admitted in one loop wake-up and answered in SearchBatch calls of more
+// than one request, and every answer is byte-identical to the response a
+// direct search produces.
+class NetLoopTest : public NetServerTest {};
+
+TEST_F(NetLoopTest, PipelinedBurstIsAnsweredInBatches) {
+  ServerOptions opts;
+  opts.loop_threads = 1;
+  opts.batch_max = 8;
+  StartServer(opts);
+  const CorpusOptions copt = ServingCorpus();
+  constexpr size_t kBurst = 24;
+  const auto queries = MakeQueries(copt, kBurst, /*qn=*/2, /*k=*/10,
+                                   Semantics::kOr, /*seed=*/95);
+  std::vector<std::string> expected(kBurst);
+  std::string frames;
+  for (size_t i = 0; i < kBurst; ++i) {
+    auto direct = index_->Search(queries[i], 0.5);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    Response want;
+    want.request_id = i;
+    want.results = direct.MoveValue();
+    EncodeResponse(want, &expected[i]);
+    Request req = SearchRequest(queries[i], i, 0.5);
+    req.no_cache = true;  // every request must reach the index
+    EncodeRequest(req, &frames);
+  }
+
+  auto batch_hist = [] {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::Global().Snapshot();
+    const obs::MetricSample* s = snap.Find("i3_net_batch_size");
+    return s == nullptr ? obs::HistogramSnapshot() : s->histogram;
+  };
+  const obs::HistogramSnapshot before = batch_hist();
+
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Client& conn = *client.ValueOrDie();
+  // One write: the whole burst lands in the loop's first read.
+  ASSERT_TRUE(conn.SendBytes(frames.data(), frames.size()).ok());
+  std::vector<bool> seen(kBurst, false);
+  for (size_t n = 0; n < kBurst; ++n) {
+    auto resp = conn.ReadResponse();
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    const uint64_t id = resp.ValueOrDie().request_id;
+    ASSERT_LT(id, kBurst);
+    EXPECT_FALSE(seen[id]) << "duplicate answer " << id;
+    seen[id] = true;
+    std::string got;
+    EncodeResponse(resp.ValueOrDie(), &got);
+    EXPECT_EQ(got, expected[id]) << "request " << id;
+  }
+
+  // Every request went through a batch, and the batches averaged more
+  // than one request: some SearchBatch call answered several at once.
+  const obs::HistogramSnapshot after = batch_hist();
+  const uint64_t batches = after.count() - before.count();
+  const uint64_t answered = after.sum() - before.sum();
+  EXPECT_EQ(answered, kBurst);
+  EXPECT_GE(batches, 1u);
+  EXPECT_LT(batches, kBurst) << "every request was its own batch";
+  EXPECT_EQ(server_->requests_ok(), kBurst);
 }
 
 // Token-bucket unit behavior backing the admission tests: deterministic
